@@ -104,6 +104,13 @@ wait "$SERVE_PID"
 SERVE_PID=""
 echo "serve smoke: server and all 8 clients exited cleanly"
 
+step "Repo benchmark: own tests, then a fingerprinted 2 s run of every workload"
+cargo test --release --offline --manifest-path repobench/Cargo.toml
+for workload in fleet fleet-h4 walk-sim; do
+    cargo run --release --offline --manifest-path repobench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
+
 step "Bench gate"
 # build_bench also runs the staging tier (old strided walk vs fused
 # level-major kernel); bench_check gates both its artifacts.

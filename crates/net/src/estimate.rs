@@ -185,12 +185,23 @@ impl BandwidthEstimator for HarmonicMeanEstimator {
 /// `(x, y)` samples, with Gaussian-elimination normal equations.
 ///
 /// Used by the server to map a candidate sending rate to a predicted
-/// delivery delay from recent measurements.
+/// delivery delay from recent measurements. The fit is redone once per
+/// [`observe`](Self::observe), in storage the regressor owns, so
+/// [`predict`](Self::predict) only evaluates the stored polynomial.
+/// Neither call allocates once the window is full.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PolyRegression {
     degree: usize,
     window: usize,
     samples: VecDeque<(f64, f64)>,
+    /// Hankel power sums `S[k] = Σ xᵏ` for `k < 2m − 1` (`m = degree + 1`).
+    power_sums: Vec<f64>,
+    /// Normal-equation matrix `XᵀX`, row-major `m × m`; `xtx[i][j] = S[i+j]`.
+    xtx: Vec<f64>,
+    /// Normal-equation right-hand side `Xᵀy`.
+    xty: Vec<f64>,
+    /// Fitted coefficients, lowest order first; empty without a fit.
+    coeffs: Vec<f64>,
 }
 
 impl PolyRegression {
@@ -203,10 +214,15 @@ impl PolyRegression {
     pub fn new(degree: usize, window: usize) -> Self {
         assert!(degree >= 1, "degree must be at least 1");
         assert!(window > degree, "window must exceed the degree");
+        let m = degree + 1;
         PolyRegression {
             degree,
             window,
             samples: VecDeque::new(),
+            power_sums: vec![0.0; 2 * m - 1],
+            xtx: vec![0.0; m * m],
+            xty: vec![0.0; m],
+            coeffs: Vec::with_capacity(m),
         }
     }
 
@@ -226,89 +242,108 @@ impl PolyRegression {
         self.samples.is_empty()
     }
 
-    /// Adds a sample, evicting the oldest if the window is full.
+    /// Adds a sample, evicting the oldest if the window is full, and
+    /// refits.
     pub fn observe(&mut self, x: f64, y: f64) {
-        self.samples.push_back((x, y));
-        if self.samples.len() > self.window {
+        if self.samples.len() == self.window {
             self.samples.pop_front();
         }
+        self.samples.push_back((x, y));
+        self.refit();
     }
 
-    /// Fits the polynomial and returns its coefficients
-    /// `[c0, c1, …, c_degree]` (lowest order first), or `None` if there are
-    /// not enough samples (fewer than `degree + 1`).
-    pub fn fit(&self) -> Option<Vec<f64>> {
-        let m = self.degree + 1;
-        if self.samples.len() < m {
-            return None;
-        }
-        // Normal equations: (XᵀX) c = Xᵀy with X the Vandermonde matrix.
-        let mut xtx = vec![vec![0.0f64; m]; m];
-        let mut xty = vec![0.0f64; m];
-        for &(x, y) in &self.samples {
-            let mut powers = vec![1.0f64; 2 * m - 1];
-            for i in 1..2 * m - 1 {
-                powers[i] = powers[i - 1] * x;
-            }
-            for i in 0..m {
-                for j in 0..m {
-                    xtx[i][j] += powers[i + j];
-                }
-                xty[i] += powers[i] * y;
-            }
-        }
-        solve_linear(&mut xtx, &mut xty)
+    /// The fitted coefficients `[c0, c1, …, c_degree]` (lowest order
+    /// first), or `None` with fewer than `degree + 1` samples or a
+    /// singular fit.
+    pub fn coefficients(&self) -> Option<&[f64]> {
+        (!self.coeffs.is_empty()).then_some(self.coeffs.as_slice())
     }
 
     /// Predicts `y` at `x` from the current fit; `None` without enough
     /// samples or on a singular fit.
     pub fn predict(&self, x: f64) -> Option<f64> {
-        let coeffs = self.fit()?;
+        let coeffs = self.coefficients()?;
         let mut acc = 0.0;
         let mut p = 1.0;
-        for c in coeffs {
+        for &c in coeffs {
             acc += c * p;
             p *= x;
         }
         Some(acc)
     }
 
-    /// Clears the window.
+    /// Clears the window and the fit.
     pub fn reset(&mut self) {
         self.samples.clear();
+        self.coeffs.clear();
+    }
+
+    /// Solves the normal equations `(XᵀX) c = Xᵀy`, with `X` the
+    /// Vandermonde matrix of the window, into `coeffs`.
+    fn refit(&mut self) {
+        self.coeffs.clear();
+        let m = self.degree + 1;
+        if self.samples.len() < m {
+            return;
+        }
+        // Every `XᵀX` entry on an anti-diagonal is the same power sum, so
+        // accumulating the 2m − 1 sums in sample order gives each entry the
+        // same sequence of additions as summing it on its own.
+        self.power_sums.fill(0.0);
+        self.xty.fill(0.0);
+        for &(x, y) in &self.samples {
+            let mut power = 1.0f64;
+            for (k, sum) in self.power_sums.iter_mut().enumerate() {
+                *sum += power;
+                if k < m {
+                    self.xty[k] += power * y;
+                }
+                power *= x;
+            }
+        }
+        for i in 0..m {
+            self.xtx[i * m..(i + 1) * m].copy_from_slice(&self.power_sums[i..i + m]);
+        }
+        solve_linear(&mut self.xtx, &mut self.xty, &mut self.coeffs);
     }
 }
 
 /// Solves `A·x = b` in place by Gaussian elimination with partial
-/// pivoting; `None` if the system is singular.
-fn solve_linear(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
+/// pivoting, `A` row-major `n × n` with `n = b.len()`. Leaves `x` empty if
+/// the system is singular.
+fn solve_linear(a: &mut [f64], b: &mut [f64], x: &mut Vec<f64>) {
     let n = b.len();
     for col in 0..n {
         // Partial pivot.
-        let pivot = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
+        let Some(pivot) =
+            (col..n).max_by(|&i, &j| a[i * n + col].abs().total_cmp(&a[j * n + col].abs()))
+        else {
+            return;
+        };
+        if a[pivot * n + col].abs() < 1e-12 {
+            return;
         }
-        a.swap(col, pivot);
+        // Columns left of `col` are never read again.
+        for k in col..n {
+            a.swap(col * n + k, pivot * n + k);
+        }
         b.swap(col, pivot);
         for row in col + 1..n {
-            let factor = a[row][col] / a[col][col];
-            #[allow(clippy::needless_range_loop)] // rows `row` and `col` are read together
+            let factor = a[row * n + col] / a[col * n + col];
             for k in col..n {
-                a[row][k] -= factor * a[col][k];
+                a[row * n + k] -= factor * a[col * n + k];
             }
             b[row] -= factor * b[col];
         }
     }
-    let mut x = vec![0.0f64; n];
+    x.resize(n, 0.0);
     for row in (0..n).rev() {
         let mut acc = b[row];
         for k in row + 1..n {
-            acc -= a[row][k] * x[k];
+            acc -= a[row * n + k] * x[k];
         }
-        x[row] = acc / a[row][row];
+        x[row] = acc / a[row * n + row];
     }
-    Some(x)
 }
 
 #[cfg(test)]
@@ -424,7 +459,7 @@ mod tests {
             let x = i as f64 * 0.5;
             p.observe(x, 3.0 + 2.0 * x + 0.5 * x * x);
         }
-        let c = p.fit().unwrap();
+        let c = p.coefficients().unwrap();
         assert!((c[0] - 3.0).abs() < 1e-6);
         assert!((c[1] - 2.0).abs() < 1e-6);
         assert!((c[2] - 0.5).abs() < 1e-6);
@@ -437,10 +472,10 @@ mod tests {
         let mut p = PolyRegression::new(2, 16);
         p.observe(0.0, 1.0);
         p.observe(1.0, 2.0);
-        assert!(p.fit().is_none());
+        assert!(p.coefficients().is_none());
         assert!(p.predict(0.5).is_none());
         p.observe(2.0, 5.0);
-        assert!(p.fit().is_some());
+        assert!(p.coefficients().is_some());
     }
 
     #[test]
@@ -456,7 +491,7 @@ mod tests {
             p.observe(x, 2.0 * x);
         }
         assert_eq!(p.len(), 4);
-        let c = p.fit().unwrap();
+        let c = p.coefficients().unwrap();
         assert!((c[1] - 2.0).abs() < 1e-9);
     }
 
@@ -467,7 +502,7 @@ mod tests {
         for _ in 0..5 {
             p.observe(1.0, 3.0);
         }
-        assert!(p.fit().is_none());
+        assert!(p.coefficients().is_none());
     }
 
     #[test]

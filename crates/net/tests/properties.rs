@@ -7,9 +7,126 @@ use cvr_net::queueing::TokenBucket;
 use cvr_net::router::fair_share;
 use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn pathology() -> impl Strategy<Value = Pathology> {
     (0usize..Pathology::ALL.len()).prop_map(|i| Pathology::ALL[i])
+}
+
+/// The regressor as it was when every `predict` refit the whole window:
+/// the bit-identity oracle for the fit-once-per-observation
+/// [`PolyRegression`].
+struct RefitPerCall {
+    degree: usize,
+    window: usize,
+    samples: VecDeque<(f64, f64)>,
+}
+
+impl RefitPerCall {
+    fn new(degree: usize, window: usize) -> Self {
+        RefitPerCall {
+            degree,
+            window,
+            samples: VecDeque::new(),
+        }
+    }
+
+    fn observe(&mut self, x: f64, y: f64) {
+        self.samples.push_back((x, y));
+        if self.samples.len() > self.window {
+            self.samples.pop_front();
+        }
+    }
+
+    fn reset(&mut self) {
+        self.samples.clear();
+    }
+
+    fn fit(&self) -> Option<Vec<f64>> {
+        let m = self.degree + 1;
+        if self.samples.len() < m {
+            return None;
+        }
+        let mut xtx = vec![vec![0.0f64; m]; m];
+        let mut xty = vec![0.0f64; m];
+        for &(x, y) in &self.samples {
+            let mut powers = vec![1.0f64; 2 * m - 1];
+            for i in 1..2 * m - 1 {
+                powers[i] = powers[i - 1] * x;
+            }
+            for i in 0..m {
+                for j in 0..m {
+                    xtx[i][j] += powers[i + j];
+                }
+                xty[i] += powers[i] * y;
+            }
+        }
+        refit_solve(&mut xtx, &mut xty)
+    }
+
+    fn predict(&self, x: f64) -> Option<f64> {
+        let coeffs = self.fit()?;
+        let mut acc = 0.0;
+        let mut p = 1.0;
+        for c in coeffs {
+            acc += c * p;
+            p *= x;
+        }
+        Some(acc)
+    }
+}
+
+#[allow(clippy::needless_range_loop)]
+fn refit_solve(a: &mut [Vec<f64>], b: &mut [f64]) -> Option<Vec<f64>> {
+    let n = b.len();
+    for col in 0..n {
+        let pivot = (col..n).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
+        if a[pivot][col].abs() < 1e-12 {
+            return None;
+        }
+        a.swap(col, pivot);
+        b.swap(col, pivot);
+        for row in col + 1..n {
+            let factor = a[row][col] / a[col][col];
+            for k in col..n {
+                a[row][k] -= factor * a[col][k];
+            }
+            b[row] -= factor * b[col];
+        }
+    }
+    let mut x = vec![0.0f64; n];
+    for row in (0..n).rev() {
+        let mut acc = b[row];
+        for k in row + 1..n {
+            acc -= a[row][k] * x[k];
+        }
+        x[row] = acc / a[row][row];
+    }
+    Some(x)
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts `fitted` and `oracle` agree bit for bit: coefficients and
+/// predictions at `probes`.
+fn assert_same_fit(
+    fitted: &PolyRegression,
+    oracle: &RefitPerCall,
+    probes: &[f64],
+) -> Result<(), String> {
+    prop_assert_eq!(
+        fitted.coefficients().map(bits),
+        oracle.fit().as_deref().map(bits)
+    );
+    for &x in probes {
+        prop_assert_eq!(
+            fitted.predict(x).map(f64::to_bits),
+            oracle.predict(x).map(f64::to_bits)
+        );
+    }
+    Ok(())
 }
 
 proptest! {
@@ -84,9 +201,65 @@ proptest! {
             let x = i as f64 * 0.7;
             p.observe(x, slope * x + intercept);
         }
-        let c = p.fit().expect("enough samples");
+        let c = p.coefficients().expect("enough samples");
         prop_assert!((c[0] - intercept).abs() < 1e-6);
         prop_assert!((c[1] - slope).abs() < 1e-6);
+    }
+
+    #[test]
+    fn poly_fit_once_is_bit_identical_to_refit_per_call(
+        degree in 1usize..4,
+        slack in 0usize..24,
+        // (x, y, op): op 0 resets the window, anything else observes.
+        // Small-integer rates make repeated and near-singular windows.
+        stream in prop::collection::vec((0u8..24, -50.0f64..200.0, 0u8..40), 0..120),
+        continuous in proptest::bool::ANY,
+        probes in prop::collection::vec(-20.0f64..250.0, 1..6),
+    ) {
+        let window = degree + 1 + slack;
+        let mut fitted = PolyRegression::new(degree, window);
+        let mut oracle = RefitPerCall::new(degree, window);
+        assert_same_fit(&fitted, &oracle, &probes)?;
+        for (i, &(step, y, op)) in stream.iter().enumerate() {
+            if op == 0 {
+                fitted.reset();
+                oracle.reset();
+            } else {
+                let x = if continuous {
+                    f64::from(step) * 7.3 + (i as f64 * 0.37).sin()
+                } else {
+                    f64::from(step % 4)
+                };
+                fitted.observe(x, y);
+                oracle.observe(x, y);
+            }
+            prop_assert_eq!(fitted.len(), oracle.samples.len());
+            assert_same_fit(&fitted, &oracle, &probes)?;
+        }
+    }
+
+    #[test]
+    fn poly_without_a_fit_predicts_none(
+        degree in 1usize..4,
+        x in 0u8..8,
+        y in -10.0f64..10.0,
+        count in 1usize..30,
+    ) {
+        // Fewer than degree + 1 samples, then a window of one repeated x
+        // (singular normal equations; a small integer keeps the
+        // elimination exact, so the pivot is exactly zero): neither
+        // regressor fits.
+        let x = f64::from(x);
+        let mut fitted = PolyRegression::new(degree, degree + 4);
+        let mut oracle = RefitPerCall::new(degree, degree + 4);
+        for i in 0..count {
+            fitted.observe(x, y + i as f64);
+            oracle.observe(x, y + i as f64);
+            prop_assert!(fitted.coefficients().is_none());
+            prop_assert!(oracle.fit().is_none());
+            prop_assert!(fitted.predict(x).is_none());
+            prop_assert!(oracle.predict(x).is_none());
+        }
     }
 
     #[test]

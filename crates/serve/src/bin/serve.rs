@@ -18,6 +18,10 @@
 //! http://ADDR/metrics`), including per-shard
 //! `cvr_shard_sessions{shard="i"}` gauges, refreshed every few slots.
 //!
+//! A failed accept or registration is logged to stderr, counted
+//! (`accept_errors` in the final summary) and skipped; the server keeps
+//! accepting until `--clients` peers are registered.
+//!
 //! Exits non-zero if any protocol error occurred or any expected client
 //! never joined — the properties the CI smoke job asserts.
 
@@ -31,6 +35,9 @@ use cvr_serve::shard::{HostConfig, ShardHost};
 /// Slots between snapshot publishes to the metrics exporter (~0.5 s at
 /// the 15 ms default cadence).
 const METRICS_PUBLISH_EVERY: u64 = 32;
+
+/// Pause after a failed `accept` before trying again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
 struct Args {
     listen: String,
@@ -114,15 +121,39 @@ fn main() {
         args.slots,
         args.slot_ms
     );
-    for _ in 0..args.clients {
-        let (stream, peer) = listener.accept().expect("accept");
+    // A failed accept (e.g. EMFILE, ECONNABORTED) or a peer that resets
+    // before registration is counted and skipped; admission continues
+    // until `--clients` peers have been registered.
+    let mut accept_errors = 0u64;
+    let mut registered = 0;
+    while registered < args.clients {
+        let (stream, peer) = match listener.accept() {
+            Ok(accepted) => accepted,
+            Err(e) => {
+                accept_errors += 1;
+                eprintln!("accept failed: {e}");
+                // Back off so a persistent error (out of descriptors)
+                // does not spin.
+                std::thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        // Routing counts admissions, so a peer lost during registration
+        // still advances the round-robin.
         let session = host.route_join();
-        println!(
-            "accepted {peer} -> session {session} (shard {})",
-            host.shard_of(session)
-        );
-        host.add_tcp(session, stream, queue_frames)
-            .expect("register connection");
+        match host.add_tcp(session, stream, queue_frames) {
+            Ok(()) => {
+                registered += 1;
+                println!(
+                    "accepted {peer} -> session {session} (shard {})",
+                    host.shard_of(session)
+                );
+            }
+            Err(e) => {
+                accept_errors += 1;
+                eprintln!("registering {peer} failed: {e}");
+            }
+        }
     }
 
     host.run_realtime(
@@ -187,7 +218,7 @@ fn main() {
     };
     println!(
         "slots={} on_time={:.3} worst_session_on_time={:.3} overruns={} joins={} leaves={} \
-         protocol_errors={} frames_dropped={} degraded={} max_queue={}",
+         protocol_errors={} frames_dropped={} degraded={} max_queue={} accept_errors={}",
         total.ticks,
         on_time,
         worst_on_time,
@@ -198,6 +229,7 @@ fn main() {
         total.frames_dropped,
         total.degraded_transitions,
         total.max_outbound_queue_depth,
+        accept_errors,
     );
 
     if total.protocol_errors > 0 {
