@@ -32,6 +32,14 @@ cargo clippy --workspace --all-targets -- -D warnings
 step "Build"
 cargo build --workspace --all-targets
 
+step "Layering: the live server (cvr-serve) must not depend on the simulator (cvr-sim)"
+SERVE_DEPS="$(cargo tree -p cvr-serve -e normal --offline --prefix none)"
+if grep -q '^cvr-sim ' <<< "$SERVE_DEPS"; then
+    echo "layering: cvr-serve depends on cvr-sim"
+    exit 1
+fi
+echo "layering: cvr-serve does not depend on cvr-sim"
+
 if [ "$MODE" = "quick" ]; then
     step "Tests"
     cargo test --workspace --release

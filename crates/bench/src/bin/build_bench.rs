@@ -7,15 +7,13 @@
 //! [`FovRequestCache`] (visible-tile reuse across slots),
 //! [`RatePlane`] (each cell's rate rows hashed once, ever), and
 //! [`UndeliveredSums`] (per-level undelivered rates maintained
-//! incrementally on ACK/Release), staged through the bulk
-//! `add_users` + `parallel_chunk_pairs` fill.
+//! incrementally on ACK/Release), staged user by user into the engine.
 //!
 //! Both paths replay the *same* recorded pose walks and ACK/Release event
 //! streams, and the solver's assignments are verified identical on every
-//! slot — also across every benchmarked thread count, since the parallel
-//! fill must stage a bit-identical problem. Only the build sections are
-//! timed; event application and solving stay outside the clocks. Results
-//! go to `BENCH_build.json` at the repository root.
+//! slot. Only the build sections are timed; event application and
+//! solving stay outside the clocks. Results go to `BENCH_build.json` at
+//! the repository root.
 //!
 //! A second **staging** tier isolates the per-slot staging stage itself:
 //! the "before" path replays the per-slot strided sums walk and the
@@ -27,7 +25,7 @@
 //! paths (the build tier's convention — that work hashes the same ledger
 //! either way, and the build tier times the plane/retarget sections).
 //! Both replay identical workloads (min-of-k timing), and per-slot
-//! assignment fingerprints must match at every benchmarked thread count.
+//! assignment fingerprints must match.
 //!
 //! Run: `cargo run -p cvr-bench --release --bin build_bench [--quick]`
 
@@ -46,11 +44,11 @@ use cvr_core::delay::{DelayModel, Mm1Delay};
 use cvr_core::engine::SlotEngine;
 use cvr_core::objective::QoeParams;
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values, stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
+use cvr_core::stage::{
+    sanitize_rates, stage_rates_values, stage_rates_values_with, CONTROL_OVERHEAD_MBPS,
+};
 use cvr_motion::pose::Pose;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
-use cvr_sim::parallel::parallel_chunk_pairs;
-use cvr_sim::system::sanitize_rates;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -223,14 +221,11 @@ impl Workload {
         (assignments, build_time)
     }
 
-    /// Replays the cached-plane build at a given worker count. Returns the
-    /// assignments, total build time, and the plane / FoV-cache hit
-    /// statistics summed over all users.
+    /// Replays the cached-plane build. Returns the assignments, total
+    /// build time, and the plane / FoV-cache hit statistics summed over
+    /// all users.
     #[allow(clippy::type_complexity)]
-    fn run_after(
-        &self,
-        threads: usize,
-    ) -> (Vec<Vec<QualityLevel>>, Duration, (u64, u64), (u64, u64)) {
+    fn run_after(&self) -> (Vec<Vec<QualityLevel>>, Duration, (u64, u64), (u64, u64)) {
         let mut engine = SlotEngine::new();
         let mut ledgers: Vec<DeliveryLedger> =
             (0..self.users).map(|_| DeliveryLedger::new()).collect();
@@ -253,6 +248,7 @@ impl Workload {
             }
 
             let t = Instant::now();
+            engine.begin_slot(self.server_budget);
             for u in 0..self.users {
                 let i = self.at(slot, u);
                 let cell = self.library.grid().cell_of(&self.poses[i].position);
@@ -260,37 +256,21 @@ impl Workload {
                 if !undelivered[u].targets(cell, tiles) {
                     undelivered[u].retarget(cell, tiles, plane.rows(cell), &ledgers[u]);
                 }
-            }
-            engine.begin_slot(self.server_budget);
-            let slot_links = &self.links[slot * self.users..(slot + 1) * self.users];
-            engine.add_users(self.levels, slot_links);
-            {
-                let (rates_table, values_table) = engine.staged_tables_mut();
-                let levels = self.levels;
-                let alpha = self.params.alpha;
-                let deltas = &self.deltas[slot * self.users..(slot + 1) * self.users];
-                let undelivered = &undelivered;
-                parallel_chunk_pairs(
-                    rates_table,
-                    values_table,
-                    levels,
-                    threads,
-                    |u, rates, values| {
-                        let fallback = Mm1Delay::new(slot_links[u]).expect("positive link budget");
-                        let sums = undelivered[u].sums();
-                        stage_rates_values_with(
-                            sums,
-                            CONTROL_OVERHEAD_MBPS,
-                            rates,
-                            values,
-                            |l, raw| {
-                                let q = QualityLevel::new((l + 1) as u8);
-                                deltas[u] * q.value() - alpha * fallback.delay(raw)
-                            },
-                        );
-                        sanitize_rates(rates);
+                let bn = self.links[i];
+                let delta = self.deltas[i];
+                let fallback = Mm1Delay::new(bn).expect("positive link budget");
+                let tables = engine.add_user(self.levels, bn);
+                stage_rates_values_with(
+                    undelivered[u].sums(),
+                    CONTROL_OVERHEAD_MBPS,
+                    tables.rates,
+                    tables.values,
+                    |l, raw| {
+                        let q = QualityLevel::new((l + 1) as u8);
+                        delta * q.value() - self.params.alpha * fallback.delay(raw)
                     },
                 );
+                sanitize_rates(tables.rates);
             }
             build_time += t.elapsed();
 
@@ -344,11 +324,7 @@ impl Workload {
     /// application and retargets stay outside the clocks: their ledger
     /// hashing is identical in both paths and the build tier already
     /// times the plane/retarget work.
-    fn run_staging_before(
-        &self,
-        requests: &[(CellId, Vec<TileId>)],
-        threads: usize,
-    ) -> (u64, Duration) {
+    fn run_staging_before(&self, requests: &[(CellId, Vec<TileId>)]) -> (u64, Duration) {
         let deltas = self.staging_deltas();
         let mut engine = SlotEngine::new();
         let mut ledgers: Vec<DeliveryLedger> =
@@ -384,27 +360,16 @@ impl Workload {
             staging_time += t.elapsed();
 
             engine.begin_slot(self.server_budget);
-            let slot_links = &self.links[slot * self.users..(slot + 1) * self.users];
-            engine.add_users(levels, slot_links);
             let t = Instant::now();
-            {
-                let (rates_table, values_table) = engine.staged_tables_mut();
-                let sums = &sums;
-                let deltas = &deltas;
-                parallel_chunk_pairs(
-                    rates_table,
-                    values_table,
-                    levels,
-                    threads,
-                    |u, rates, values| {
-                        let s = sums[u].sums();
-                        for l in 0..levels {
-                            rates[l] = s[l] + CONTROL_OVERHEAD_MBPS;
-                            values[l] = deltas[u] * (l + 1) as f64;
-                        }
-                        sanitize_rates(rates);
-                    },
-                );
+            for u in 0..self.users {
+                let tables = engine.add_user(levels, self.links[self.at(slot, u)]);
+                let (rates, values) = (tables.rates, tables.values);
+                let s = sums[u].sums();
+                for l in 0..levels {
+                    rates[l] = s[l] + CONTROL_OVERHEAD_MBPS;
+                    values[l] = deltas[u] * (l + 1) as f64;
+                }
+                sanitize_rates(rates);
             }
             staging_time += t.elapsed();
 
@@ -423,11 +388,7 @@ impl Workload {
     /// time (the fill — the level-major design needs no per-slot sums
     /// walk at all; its incremental folds ride the untimed event stage,
     /// same as the build tier).
-    fn run_staging_after(
-        &self,
-        requests: &[(CellId, Vec<TileId>)],
-        threads: usize,
-    ) -> (u64, Duration) {
+    fn run_staging_after(&self, requests: &[(CellId, Vec<TileId>)]) -> (u64, Duration) {
         let deltas = self.staging_deltas();
         let levels = self.levels;
         let mut value_weights = vec![0.0f64; self.users * levels];
@@ -461,25 +422,18 @@ impl Workload {
             }
 
             engine.begin_slot(self.server_budget);
-            let slot_links = &self.links[slot * self.users..(slot + 1) * self.users];
-            engine.add_users(levels, slot_links);
             let t = Instant::now();
-            {
-                let (rates_table, values_table) = engine.staged_tables_mut();
-                let undelivered = &undelivered;
-                let value_weights = &value_weights;
-                parallel_chunk_pairs(
-                    rates_table,
-                    values_table,
-                    levels,
-                    threads,
-                    |u, rates, values| {
-                        let sums = undelivered[u].sums();
-                        let weights = &value_weights[u * levels..(u + 1) * levels];
-                        stage_rates_values(sums, CONTROL_OVERHEAD_MBPS, weights, rates, values);
-                        sanitize_rates(rates);
-                    },
+            for u in 0..self.users {
+                let tables = engine.add_user(levels, self.links[self.at(slot, u)]);
+                let weights = &value_weights[u * levels..(u + 1) * levels];
+                stage_rates_values(
+                    undelivered[u].sums(),
+                    CONTROL_OVERHEAD_MBPS,
+                    weights,
+                    tables.rates,
+                    tables.values,
                 );
+                sanitize_rates(tables.rates);
             }
             staging_time += t.elapsed();
 
@@ -646,9 +600,9 @@ fn main() {
         // Warm-up replays (untimed results discarded), then the timed
         // replays whose numbers are reported.
         let _ = w.run_before();
-        let _ = w.run_after(1);
+        let _ = w.run_after();
         let (before_assignments, before_time) = w.run_before();
-        let (after_assignments, after_time, plane_stats, fov_stats) = w.run_after(1);
+        let (after_assignments, after_time, plane_stats, fov_stats) = w.run_after();
         let identical = before_assignments == after_assignments;
         assert!(
             identical,
@@ -670,45 +624,18 @@ fn main() {
             plane_stats.0, plane_stats.1, fov_stats.0, fov_stats.1
         );
 
-        // Thread sweep: identity is checked at every point regardless of
-        // the host's core count; timings are only meaningful with real
-        // parallelism underneath.
-        let mut thread_entries = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let (t_assignments, t_time, _, _) = w.run_after(threads);
-            let t_identical = t_assignments == before_assignments;
-            assert!(
-                t_identical,
-                "{}: {threads}-thread build diverged from the reference build",
-                w.name
-            );
-            println!(
-                "  {} threads: {:>8.1} µs/slot, identical: {}",
-                threads,
-                t_time.as_secs_f64() * 1e6 / w.slots as f64,
-                t_identical
-            );
-            thread_entries.push(format!(
-                "        {{\"threads\": {}, \"build_s\": {:.4}, \"build_us_per_slot\": {:.2}, \"identical\": {}}}",
-                threads,
-                t_time.as_secs_f64(),
-                t_time.as_secs_f64() * 1e6 / w.slots as f64,
-                t_identical
-            ));
-        }
-
         // Staging tier: the slot staging stage alone (event folds,
         // retargets, per-level sums, rate/value fill) through the old
         // tile-major strided replica vs the production level-major path
         // with the fused kernel. Min-of-k timing; the per-slot assignment
-        // fingerprint must match on every replay and thread count.
+        // fingerprint must match on every replay.
         let requests = w.staging_requests();
-        let _ = w.run_staging_before(&requests, 1);
-        let _ = w.run_staging_after(&requests, 1);
+        let _ = w.run_staging_before(&requests);
+        let _ = w.run_staging_after(&requests);
         let mut staging_before = Duration::MAX;
         let mut reference_fp = None;
         for _ in 0..STAGING_REPS {
-            let (fp, t) = w.run_staging_before(&requests, 1);
+            let (fp, t) = w.run_staging_before(&requests);
             match reference_fp {
                 None => reference_fp = Some(fp),
                 Some(expected) => assert_eq!(
@@ -720,48 +647,27 @@ fn main() {
             staging_before = staging_before.min(t);
         }
         let reference_fp = reference_fp.expect("at least one staging rep");
-        let mut staging_thread_entries = Vec::new();
-        let mut staging_after_single = Duration::MAX;
-        for threads in [1usize, 2, 4] {
-            let mut staging_after = Duration::MAX;
-            for _ in 0..STAGING_REPS {
-                let (fp, t) = w.run_staging_after(&requests, threads);
-                assert_eq!(
-                    fp, reference_fp,
-                    "{}: fused staging at {threads} threads diverged from the strided reference",
-                    w.name
-                );
-                staging_after = staging_after.min(t);
-            }
-            if threads == 1 {
-                staging_after_single = staging_after;
-            }
-            let thread_speedup = staging_before.as_secs_f64() / staging_after.as_secs_f64();
-            println!(
-                "  staging, {} threads: {:>8.1} µs/slot, speedup {:.2}x, fingerprint match: true",
-                threads,
-                staging_after.as_secs_f64() * 1e6 / w.slots as f64,
-                thread_speedup
+        let mut staging_after = Duration::MAX;
+        for _ in 0..STAGING_REPS {
+            let (fp, t) = w.run_staging_after(&requests);
+            assert_eq!(
+                fp, reference_fp,
+                "{}: fused staging diverged from the strided reference",
+                w.name
             );
-            staging_thread_entries.push(format!(
-                "          {{\"threads\": {}, \"staging_s\": {:.4}, \"staging_us_per_slot\": {:.2}, \"speedup\": {:.3}, \"identical\": true}}",
-                threads,
-                staging_after.as_secs_f64(),
-                staging_after.as_secs_f64() * 1e6 / w.slots as f64,
-                thread_speedup
-            ));
+            staging_after = staging_after.min(t);
         }
-        let staging_speedup = staging_before.as_secs_f64() / staging_after_single.as_secs_f64();
+        let staging_speedup = staging_before.as_secs_f64() / staging_after.as_secs_f64();
         println!(
             "  staging: before {:>8.1} µs/slot, after {:>8.1} µs/slot, staging speedup {:.2}x (min of {STAGING_REPS}), fingerprint 0x{:016x}",
             staging_before.as_secs_f64() * 1e6 / w.slots as f64,
-            staging_after_single.as_secs_f64() * 1e6 / w.slots as f64,
+            staging_after.as_secs_f64() * 1e6 / w.slots as f64,
             staging_speedup,
             reference_fp
         );
 
         setup_entries.push(format!(
-            "    {{\"name\": \"{}\", \"users\": {}, \"levels\": {}, \"server_budget_mbps\": {:.0}, \"slots\": {}, \"assignments_identical\": {}, \"before\": {{\"build_s\": {:.4}, \"build_us_per_slot\": {:.2}}}, \"after\": {{\"build_s\": {:.4}, \"build_us_per_slot\": {:.2}, \"plane\": {{\"hits\": {}, \"misses\": {}}}, \"fov_cache\": {{\"hits\": {}, \"misses\": {}}}}}, \"build_speedup\": {:.3}, \"threads\": [\n{}\n      ], \"staging\": {{\"reps\": {}, \"fingerprint\": \"0x{:016x}\", \"before\": {{\"staging_s\": {:.4}, \"staging_us_per_slot\": {:.2}}}, \"after\": {{\"staging_s\": {:.4}, \"staging_us_per_slot\": {:.2}}}, \"staging_speedup\": {:.3}, \"threads\": [\n{}\n        ]}}}}",
+            "    {{\"name\": \"{}\", \"users\": {}, \"levels\": {}, \"server_budget_mbps\": {:.0}, \"slots\": {}, \"assignments_identical\": {}, \"before\": {{\"build_s\": {:.4}, \"build_us_per_slot\": {:.2}}}, \"after\": {{\"build_s\": {:.4}, \"build_us_per_slot\": {:.2}, \"plane\": {{\"hits\": {}, \"misses\": {}}}, \"fov_cache\": {{\"hits\": {}, \"misses\": {}}}}}, \"build_speedup\": {:.3}, \"staging\": {{\"reps\": {}, \"fingerprint\": \"0x{:016x}\", \"before\": {{\"staging_s\": {:.4}, \"staging_us_per_slot\": {:.2}}}, \"after\": {{\"staging_s\": {:.4}, \"staging_us_per_slot\": {:.2}}}, \"staging_speedup\": {:.3}, \"identical\": true}}}}",
             w.name,
             w.users,
             w.levels,
@@ -777,28 +683,20 @@ fn main() {
             fov_stats.0,
             fov_stats.1,
             speedup,
-            thread_entries.join(",\n"),
             STAGING_REPS,
             reference_fp,
             staging_before.as_secs_f64(),
             staging_before.as_secs_f64() * 1e6 / w.slots as f64,
-            staging_after_single.as_secs_f64(),
-            staging_after_single.as_secs_f64() * 1e6 / w.slots as f64,
-            staging_speedup,
-            staging_thread_entries.join(",\n")
+            staging_after.as_secs_f64(),
+            staging_after.as_secs_f64() * 1e6 / w.slots as f64,
+            staging_speedup
         ));
     }
 
-    let note = if host_parallelism == 1 {
-        "\"thread sweep timings not meaningful: single-core host (identity still checked)\""
-    } else {
-        ""
-    };
     let json = format!(
-        "{{\n  \"bench\": \"build\",\n  \"slots_per_setup\": {},\n  \"host_parallelism\": {},\n  \"notes\": [{}],\n  \"setups\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"build\",\n  \"slots_per_setup\": {},\n  \"host_parallelism\": {},\n  \"setups\": [\n{}\n  ]\n}}\n",
         slots,
         host_parallelism,
-        note,
         setup_entries.join(",\n")
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_build.json");

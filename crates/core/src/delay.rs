@@ -19,6 +19,17 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ModelError;
 
+/// Pipeline depth: content predicted and sent at slot `s` is decoded at
+/// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
+/// decoding"). A transfer is on time when its delay is at most this many
+/// slots.
+pub const PIPELINE_SLOTS: usize = 2;
+
+/// Transfers whose queueing delay exceeds this many slots are dropped
+/// ("each tile will either be displayed or dropped in each time slot");
+/// the recorded delay saturates here.
+pub const DELAY_CAP_SLOTS: f64 = 8.0;
+
 /// Maps a sending rate/content size to an average delivery delay.
 ///
 /// Delay is expressed in *slot durations*: a value of `1.0` means the

@@ -74,9 +74,7 @@ pub mod variance;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::alloc::{
-        Allocator, DensityGreedy, DensityValueGreedy, LagrangianBisection, ValueGreedy,
-    };
+    pub use crate::alloc::{Allocator, DensityGreedy, DensityValueGreedy, ValueGreedy};
     pub use crate::baselines::{FireflyLru, Pavq};
     pub use crate::delay::{DelayModel, Mm1Delay, TabulatedDelay};
     pub use crate::engine::{EngineTimers, SlotEngine, StageClock};
@@ -87,8 +85,8 @@ pub mod prelude {
     pub use crate::quality::{QualityLevel, QualitySet};
     pub use crate::rate::{RateFunction, TabulatedRate};
     pub use crate::stage::{
-        accumulate_group_values, stage_rates, stage_rates_values, stage_rates_values_with,
-        CONTROL_OVERHEAD_MBPS,
+        accumulate_group_values, sanitize_rates, stage_rates, stage_rates_values,
+        stage_rates_values_with, CONTROL_OVERHEAD_MBPS,
     };
     pub use crate::variance::VarianceTracker;
 }

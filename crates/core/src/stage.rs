@@ -15,6 +15,8 @@
 //!   value terms depend on the staged rate itself (delay models, loss
 //!   scaling): one fused pass that computes the rate and hands it to an
 //!   inlined per-level closure.
+//! * [`sanitize_rates`] repairs a ledger-suppressed rate row into the
+//!   positive, strictly increasing shape the allocator requires.
 //! * [`accumulate_group_values`] is the group-staging member fold of
 //!   `cvr-mcast`, split into a contiguous vectorisable prefix and a
 //!   clamped constant tail.
@@ -24,8 +26,8 @@
 //! loop it replaces — element-wise `sums[l] + overhead` involves no
 //! reassociation, so chunking cannot change a single bit. Debug builds
 //! cross-check every output lane against the naive loop; the staging
-//! benchmark and the simulators additionally fingerprint-compare whole
-//! staged tables across paths and thread counts.
+//! benchmark additionally fingerprint-compares the assignments of the
+//! staged tables across paths.
 
 /// Control/pose-stream overhead always present on a user's downlink, Mbps.
 ///
@@ -184,6 +186,22 @@ pub fn stage_rates_values_with<F>(
     }
 }
 
+/// Forces a raw per-level rate vector to be positive and strictly
+/// increasing (retransmission suppression can make levels momentarily
+/// equal-cost; the allocator's invariants require strict monotonicity).
+/// Every loop that stages ledger-suppressed rates into a
+/// [`crate::engine::SlotEngine`] — the simulators, the live server
+/// runtime — enforces the same invariant the same way.
+pub fn sanitize_rates(rates: &mut [f64]) {
+    let mut floor = 0.05;
+    for r in rates.iter_mut() {
+        if !r.is_finite() || *r < floor {
+            *r = floor;
+        }
+        floor = *r * 1.000_001 + 1e-6;
+    }
+}
+
 /// Folds one group member's clamped value row into the staged group row:
 /// `out_values[l] += member_values[min(l, cap)]`.
 ///
@@ -271,6 +289,16 @@ mod tests {
             let raw = sums[l] + 0.5;
             assert_eq!(rates[l].to_bits(), raw.to_bits());
             assert_eq!(values[l].to_bits(), ((l + 1) as f64 * 10.0 - raw).to_bits());
+        }
+    }
+
+    #[test]
+    fn sanitize_rates_makes_strictly_increasing_positive() {
+        let mut r = vec![0.0, 0.0, 5.0, 5.0, 4.0, f64::NAN];
+        sanitize_rates(&mut r);
+        assert!(r[0] > 0.0);
+        for w in r.windows(2) {
+            assert!(w[1] > w[0], "{r:?} not strictly increasing");
         }
     }
 

@@ -6,6 +6,8 @@
 //!   of the fractional bound) on random concave instances.
 //! * The Welford tracker matches the two-pass variance and the Eq. (4)
 //!   identity on arbitrary streams.
+//! * `sanitize_rates` turns any rate row into a positive, strictly
+//!   increasing one and leaves an already well-formed row bit-identical.
 
 use cvr_core::alloc::{Allocator, DensityGreedy, DensityValueGreedy, GreedyOutcome, ValueGreedy};
 use cvr_core::engine::SlotEngine;
@@ -14,7 +16,8 @@ use cvr_core::offline::{
     dp_slot_optimum, exact_slot_optimum, exhaustive_slot_optimum, fractional_upper_bound,
 };
 use cvr_core::stage::{
-    accumulate_group_values, stage_rates, stage_rates_values, stage_rates_values_with,
+    accumulate_group_values, sanitize_rates, stage_rates, stage_rates_values,
+    stage_rates_values_with,
 };
 use cvr_core::variance::{population_variance, VarianceTracker};
 use proptest::prelude::*;
@@ -30,6 +33,24 @@ fn staging_f64() -> impl Strategy<Value = f64> {
         2 => 4.9e-324,  // smallest positive denormal
         3 => -4.9e-324, // smallest negative denormal
         4 => 1.0e-310,  // mid-range denormal
+        _ => x,
+    })
+}
+
+/// Raw rate-row entry strategy for `sanitize_rates`: NaN, ±inf, ±0.0,
+/// denormals, negatives and ordinary magnitudes. Finite values stay below
+/// 1e9 Mbps; near `f64::MAX` the repair's `r · 1.000001` step itself
+/// overflows.
+fn raw_rate() -> impl Strategy<Value = f64> {
+    (0u8..12, -1.0e9f64..1.0e9).prop_map(|(kind, x)| match kind {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => 0.0,
+        4 => -0.0,
+        5 => 4.9e-324,
+        6 => -x.abs(),
+        7 => 0.05,
         _ => x,
     })
 }
@@ -411,6 +432,40 @@ proptest! {
         for l in 0..levels {
             let expect = seed[l] + member[l.min(cap)];
             prop_assert_eq!(expect.to_bits(), fused[l].to_bits(), "level {} drifted", l);
+        }
+    }
+
+    #[test]
+    fn sanitize_rates_output_is_positive_and_strictly_increasing(
+        raw in prop::collection::vec(raw_rate(), 0..23),
+    ) {
+        let mut rates = raw.clone();
+        sanitize_rates(&mut rates);
+        prop_assert_eq!(rates.len(), raw.len());
+        for (l, &r) in rates.iter().enumerate() {
+            prop_assert!(r.is_finite() && r > 0.0, "level {} not positive: {:?}", l, rates);
+        }
+        for w in rates.windows(2) {
+            prop_assert!(w[1] > w[0], "not strictly increasing: {:?}", rates);
+        }
+    }
+
+    #[test]
+    fn sanitize_rates_leaves_well_formed_rows_bit_identical(
+        first in 0.05f64..1.0e3,
+        steps in prop::collection::vec((0u8..4, 0.0f64..100.0), 0..22),
+    ) {
+        // Each level sits exactly on, or above, the repair floor of the
+        // level below: r[i+1] >= r[i] * 1.000001 + 1e-6.
+        let mut row = vec![first];
+        for &(kind, gap) in &steps {
+            let floor = row[row.len() - 1] * 1.000_001 + 1e-6;
+            row.push(if kind == 0 { floor } else { floor + gap });
+        }
+        let mut sanitized = row.clone();
+        sanitize_rates(&mut sanitized);
+        for l in 0..row.len() {
+            prop_assert_eq!(row[l].to_bits(), sanitized[l].to_bits(), "level {} changed", l);
         }
     }
 }

@@ -16,13 +16,13 @@ use rand_chacha::ChaCha8Rng;
 use cvr_content::cache::ClientTileBuffer;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
+use cvr_core::delay::PIPELINE_SLOTS;
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use cvr_net::multilink::{BondedLink, LinkId};
 use cvr_obs::{Histogram, HistogramSummary};
-use cvr_sim::system::PIPELINE_SLOTS;
 
 use crate::protocol::{ClientMessage, ServerMessage, PROTOCOL_VERSION};
 use crate::transport::ClientTransport;

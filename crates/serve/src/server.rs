@@ -29,13 +29,12 @@ use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::plane::{RatePlane, SharedFovCache, DEFAULT_PLANE_CELLS};
 use cvr_content::tile::{tiles_for_pose_into, TileId};
-use cvr_core::delay::{DelayModel, Mm1Delay};
+use cvr_core::delay::{DelayModel, Mm1Delay, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use cvr_core::engine::{SlotEngine, StageClock};
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
-use cvr_core::variance::VarianceTracker;
+use cvr_core::stage::{sanitize_rates, stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
 use cvr_lookahead::{
     fov_tile_overlap, slot_credit, AnticipatoryDegrade, DegradeConfig, LookaheadConfig, Prefetcher,
 };
@@ -47,7 +46,6 @@ use cvr_net::estimate::EmaEstimator;
 use cvr_net::multilink::{FailoverPolicy, LinkId};
 use cvr_obs::registry::{CounterId, GaugeId, HistogramId};
 use cvr_obs::{latency_bounds_ns, Registry, StageStats, TraceEvent, Tracer};
-use cvr_sim::system::{sanitize_rates, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 
 use crate::protocol::{ClientMessage, ServerMessage, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 use crate::ticker::SlotTicker;
@@ -91,9 +89,6 @@ pub struct ServeConfig {
     pub outbound_queue_frames: usize,
     /// Most users the session admits; later Hellos are refused.
     pub max_users: usize,
-    /// Worker threads for the per-user problem build (1 = inline, no
-    /// spawning). Any thread count stages a bit-identical problem.
-    pub build_threads: usize,
     /// Enables shared-FoV multicast: co-located v3 users whose
     /// undelivered tile state is byte-identical share one staged engine
     /// row and receive one fanned-out `GroupAssign` frame. Off by
@@ -130,7 +125,6 @@ impl Default for ServeConfig {
             degrade_floor_mbps: 2.0,
             outbound_queue_frames: 64,
             max_users: 16,
-            build_threads: 1,
             multicast: false,
             mcast_hysteresis_slots: 8,
             horizon: 1,
@@ -505,21 +499,17 @@ pub struct Session {
     mcast_groups_last: usize,
     /// Lookahead policy derived from `config.horizon` (inactive at 1).
     lookahead: LookaheadConfig,
-    // Reused per-slot scratch, engine-index order. The `plan_*` tables
-    // are flat copies of per-user build inputs: `UserState` owns a
-    // non-`Sync` transport, so the parallel fill reads these instead.
+    // Reused per-slot scratch, engine-index order.
     plan_ids: Vec<usize>,
     plan_predicted: Vec<Pose>,
+    /// Per-user planning bandwidth estimate (each member's link budget
+    /// when multicast stages a group).
     plan_bn: Vec<f64>,
-    plan_delta: Vec<f64>,
-    plan_tracker: Vec<VarianceTracker>,
-    /// Per-user undelivered-rate sums, `levels` entries per user.
-    plan_sums: Vec<f64>,
     /// Per-user multicast group key (`None` = not groupable this slot:
     /// v2 client, degraded, unbucketable pose, or multicast off).
     plan_keys: Vec<Option<GroupKey>>,
-    /// Per-user unicast rate/value rows staged by the parallel build when
-    /// multicast is on (the engine then receives one row per *group*).
+    /// Per-user unicast rate/value rows built when multicast is on (the
+    /// engine then receives one row per *group*).
     mc_rates: Vec<f64>,
     mc_values: Vec<f64>,
     /// Engine-row → member plan indices, caps, and group ids for the
@@ -570,9 +560,6 @@ impl Session {
             plan_ids: Vec::new(),
             plan_predicted: Vec::new(),
             plan_bn: Vec::new(),
-            plan_delta: Vec::new(),
-            plan_tracker: Vec::new(),
-            plan_sums: Vec::new(),
             plan_keys: Vec::new(),
             mc_rates: Vec::new(),
             mc_values: Vec::new(),
@@ -1010,28 +997,26 @@ impl Session {
 
     /// Stages this slot's problem into the engine and solves it.
     ///
-    /// The build runs in two passes. A sequential pass resolves each
-    /// user's FoV target (cached visible-tile request, cached rate-plane
-    /// rows, incremental undelivered sums) and snapshots the per-user
-    /// build inputs into flat scratch tables. A second pass then fills
-    /// the staged rate/value tables, optionally across
-    /// `build_threads` workers — every user's rows are written by exactly
-    /// one worker, so the staged problem is bit-identical at any thread
-    /// count.
+    /// One pass over the users resolves each user's FoV target (cached
+    /// visible-tile request, cached rate-plane rows, incremental
+    /// undelivered sums) and stages its rate/value rows — straight into
+    /// the engine for unicast, into per-user scratch rows when multicast
+    /// stages one engine row per group afterwards.
     fn plan(&mut self) {
         self.plan_ids.clear();
         self.plan_predicted.clear();
         self.plan_bn.clear();
-        self.plan_delta.clear();
-        self.plan_tracker.clear();
-        self.plan_sums.clear();
         self.plan_keys.clear();
+        self.mc_rates.clear();
+        self.mc_values.clear();
 
         let dt = self.config.slot_duration.as_secs_f64();
         let levels = self.library.quality_set().len();
         let floor_slots = PROPAGATION_S / dt;
+        let params = self.config.params;
 
         let build_start = Instant::now();
+        self.engine.begin_slot(self.config.server_total_mbps);
         for id in 0..self.users.len() {
             let Some(user) = &mut self.users[id] else {
                 continue;
@@ -1117,59 +1102,35 @@ impl Session {
             self.plan_ids.push(id);
             self.plan_predicted.push(predicted);
             self.plan_bn.push(bn);
-            self.plan_delta.push(user.delta.estimate());
-            self.plan_tracker.push(*user.qoe.tracker());
-            self.plan_sums.extend_from_slice(user.undelivered.sums());
-        }
 
-        let n = self.plan_ids.len();
-        self.engine.begin_slot(self.config.server_total_mbps);
-        {
-            // Multicast stages one engine row per *group*, so the
-            // per-user rows are built into session scratch first; the
-            // unicast path keeps writing straight into the engine.
-            let (rates_table, values_table): (&mut [f64], &mut [f64]) = if self.config.multicast {
-                self.mc_rates.clear();
-                self.mc_rates.resize(n * levels, 0.0);
-                self.mc_values.clear();
-                self.mc_values.resize(n * levels, 0.0);
-                (&mut self.mc_rates, &mut self.mc_values)
+            let (rates, values) = if self.config.multicast {
+                let start = self.mc_rates.len();
+                self.mc_rates.resize(start + levels, 0.0);
+                self.mc_values.resize(start + levels, 0.0);
+                (&mut self.mc_rates[start..], &mut self.mc_values[start..])
             } else {
-                self.engine.add_users(levels, &self.plan_bn);
-                self.engine.staged_tables_mut()
+                let tables = self.engine.add_user(levels, bn);
+                (tables.rates, tables.values)
             };
-            let params = self.config.params;
-            let plan_bn = &self.plan_bn;
-            let plan_delta = &self.plan_delta;
-            let plan_tracker = &self.plan_tracker;
-            let plan_sums = &self.plan_sums;
-            cvr_sim::parallel::parallel_chunk_pairs(
-                rates_table,
-                values_table,
-                levels,
-                self.config.build_threads.max(1),
-                |u, rates, values| {
-                    let delta = plan_delta[u];
-                    let tracker = plan_tracker[u];
-                    let fallback = Mm1Delay::new(plan_bn[u]).expect("positive estimate");
-                    let sums = &plan_sums[u * levels..(u + 1) * levels];
-                    stage_rates_values_with(
-                        sums,
-                        CONTROL_OVERHEAD_MBPS,
-                        rates,
-                        values,
-                        |l, raw| {
-                            let q = QualityLevel::new((l + 1) as u8);
-                            let delay = fallback.delay(raw) + floor_slots;
-                            delta * q.value()
-                                - params.alpha * delay
-                                - params.beta * tracker.expected_penalty(q.value(), delta)
-                        },
-                    );
-                    sanitize_rates(rates);
+            let delta = user.delta.estimate();
+            let tracker = *user.qoe.tracker();
+            let fallback = Mm1Delay::new(bn).expect("positive estimate");
+            stage_rates_values_with(
+                user.undelivered.sums(),
+                CONTROL_OVERHEAD_MBPS,
+                rates,
+                values,
+                |l, raw| {
+                    let q = QualityLevel::new((l + 1) as u8);
+                    let delay = fallback.delay(raw) + floor_slots;
+                    delta * q.value()
+                        - params.alpha * delay
+                        - params.beta * tracker.expected_penalty(q.value(), delta)
                 },
             );
+            sanitize_rates(rates);
         }
+
         if self.config.multicast {
             self.stage_groups(levels);
         }
@@ -1202,8 +1163,7 @@ impl Session {
     /// for predicted future cells. Prefetched ids ride the assignment
     /// manifests (see [`Session::transmit`]); the ledger charges them
     /// when the client ACKs, and reconciliation releases predictions
-    /// that never materialised. Sequential in plan order and rng-free,
-    /// so any `build_threads` count stages the same prefetch set.
+    /// that never materialised. Sequential in plan order and rng-free.
     fn prefetch_pass(&mut self) {
         let rows = self.engine.assignment().len();
         let assigned: f64 = (0..rows)
@@ -1798,76 +1758,6 @@ mod tests {
     }
 
     #[test]
-    fn build_threads_do_not_change_assignments_or_qoe() {
-        use cvr_motion::pose::{Orientation, Vec3};
-
-        // Drives two clients through pose walks that cross cells and
-        // orientation buckets, ACKing every manifest, and records the
-        // full assignment stream. Any thread count must reproduce the
-        // single-threaded stream bit for bit.
-        let run = |threads: usize| {
-            let mut session = Session::new(ServeConfig {
-                build_threads: threads,
-                ..ServeConfig::default()
-            });
-            let mut clients = vec![join_one(&mut session), join_one(&mut session)];
-            session.step_slot();
-            for client in &mut clients {
-                let _welcome = client.try_recv();
-            }
-            let mut stream = Vec::new();
-            for seq in 0..24u64 {
-                for (c, client) in clients.iter_mut().enumerate() {
-                    let t = seq as f64;
-                    client.send(&ClientMessage::Pose {
-                        seq,
-                        pose: Pose {
-                            position: Vec3::new(0.35 * t * (c as f64 + 1.0), 1.6, -0.2 * t),
-                            orientation: Orientation {
-                                yaw: 9.0 * t + 120.0 * c as f64,
-                                pitch: 3.0 * t - 20.0,
-                                roll: 0.0,
-                            },
-                        },
-                    });
-                    client.send(&ClientMessage::BandwidthSample {
-                        mbps: 30.0 + 10.0 * c as f64 + t,
-                    });
-                }
-                session.step_slot();
-                for (c, client) in clients.iter_mut().enumerate() {
-                    while let Some(Ok(message)) = client.try_recv() {
-                        if let ServerMessage::Assignment {
-                            slot,
-                            quality,
-                            rate_mbps,
-                            manifest,
-                            ..
-                        } = message
-                        {
-                            stream.push((c, slot, quality, rate_mbps.to_bits(), manifest.clone()));
-                            if !manifest.is_empty() && seq % 3 != 2 {
-                                client.send(&ClientMessage::Ack { ids: manifest });
-                            }
-                        }
-                    }
-                }
-            }
-            session.shutdown();
-            let qoe: Vec<_> = session
-                .report()
-                .users
-                .iter()
-                .map(|u| u.qoe.qoe_per_slot.to_bits())
-                .collect();
-            (stream, qoe)
-        };
-        let baseline = run(1);
-        assert_eq!(baseline, run(2));
-        assert_eq!(baseline, run(4));
-    }
-
-    #[test]
     fn lookahead_horizon_engages_and_stays_deterministic() {
         use cvr_motion::pose::{Orientation, Vec3};
 
@@ -1875,10 +1765,9 @@ mod tests {
         // anticipatory degrade clamps the planning estimate and the
         // prefetch pass extends manifests with future-cell tiles, so the
         // H=4 stream must differ from the myopic stream — and must be
-        // bit-identical at any build_threads count.
-        let run = |threads: usize, horizon: usize| {
+        // bit-identical between identical runs.
+        let run = |horizon: usize| {
             let mut session = Session::new(ServeConfig {
-                build_threads: threads,
                 horizon,
                 ..ServeConfig::default()
             });
@@ -1921,8 +1810,8 @@ mod tests {
             }
             stream
         };
-        let myopic = run(1, 1);
-        let lookahead = run(1, 4);
+        let myopic = run(1);
+        let lookahead = run(4);
         assert_ne!(myopic, lookahead, "H=4 must change the served stream");
         // Prefetch engaged: some manifest spans more than one cell.
         assert!(
@@ -1931,8 +1820,7 @@ mod tests {
                 .any(|f| f.3.windows(2).any(|w| w[0].cell() != w[1].cell())),
             "no manifest carried a future-cell prefetch tile"
         );
-        assert_eq!(lookahead, run(2, 4));
-        assert_eq!(lookahead, run(4, 4));
+        assert_eq!(lookahead, run(4));
     }
 
     #[test]

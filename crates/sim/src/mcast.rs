@@ -7,13 +7,12 @@
 //! packet loss, routers, or estimation noise — the question it answers is
 //! purely *how much delivered quality does shared-FoV dedup buy at a
 //! fixed server budget*, with every other variable pinned. Both modes run
-//! the identical per-user problem build (parallel, disjoint-row writes ⇒
-//! bit-identical at every `build_threads`), the identical quality-increment
+//! the identical per-user problem build, the identical quality-increment
 //! greedy, and the identical delivery accounting; the only difference is
-//! whether users sharing a [`GroupKey`] are
-//! staged once or N times. With grouping disabled every "group" is a
-//! singleton staged byte-identically to the unicast row, which is the
-//! unicast-parity guarantee `mcast_bench` fingerprints.
+//! whether users sharing a [`GroupKey`] are staged once or N times. With
+//! grouping disabled every "group" is a singleton staged byte-identically
+//! to the unicast row, which is the unicast-parity guarantee
+//! `mcast_bench` fingerprints.
 
 use cvr_content::cache::{DeliveryLedger, UndeliveredSums};
 use cvr_content::grid::GridWorld;
@@ -24,14 +23,11 @@ use cvr_content::tile::TileId;
 use cvr_core::alloc::{Allocator as _, DensityValueGreedy};
 use cvr_core::engine::SlotEngine;
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values, CONTROL_OVERHEAD_MBPS};
+use cvr_core::stage::{sanitize_rates, stage_rates_values, CONTROL_OVERHEAD_MBPS};
 use cvr_mcast::group::{content_fingerprint, GroupKey, GroupTracker};
 use cvr_mcast::stage::{stage_group, GroupMember};
 use cvr_motion::fov::FovSpec;
 use cvr_motion::pose::{Orientation, Pose, Vec3};
-
-use crate::parallel::parallel_chunk_pairs;
-use crate::system::sanitize_rates;
 
 /// Slot length of the classroom loop, seconds (the paper's 15 ms).
 const SLOT_S: f64 = 0.015;
@@ -49,8 +45,6 @@ pub struct McastConfig {
     pub per_user_mbps: f64,
     /// Distinct shared gaze targets users cluster around.
     pub clusters: usize,
-    /// Worker threads for the per-user problem build.
-    pub build_threads: usize,
     /// Base seed folded into the deterministic gaze trajectories.
     pub seed: u64,
     /// Group co-oriented users and stage each group once (`false` =
@@ -70,7 +64,6 @@ impl McastConfig {
             server_total_mbps: 400.0,
             per_user_mbps: 50.0,
             clusters: 4,
-            build_threads: 1,
             seed: 2022,
             multicast,
             hysteresis_slots: 8,
@@ -91,7 +84,7 @@ pub struct McastRunResult {
     /// Mean members per staged row (1.0 in unicast mode).
     pub mean_group_size: f64,
     /// FNV-1a fingerprint over every per-slot staging, assignment, and
-    /// delivery decision — bit-identical across `build_threads`.
+    /// delivery decision.
     pub fingerprint: u64,
 }
 
@@ -170,7 +163,8 @@ pub fn run(config: &McastConfig) -> McastRunResult {
     let mut engine = SlotEngine::new();
     let mut allocator = DensityValueGreedy;
 
-    // Flat per-user scratch tables the parallel build fills.
+    // Flat per-user scratch rows: a group's row is staged from its
+    // members' rows, so every user's row is built before any is staged.
     let mut rates_table = vec![0.0f64; users * levels];
     let mut values_table = vec![0.0f64; users * levels];
     let mut tiles_of: Vec<Vec<TileId>> = vec![Vec::new(); users];
@@ -185,8 +179,8 @@ pub fn run(config: &McastConfig) -> McastRunResult {
     let mut staged_members = 0u64;
 
     for slot in 0..config.slots {
-        // 1. Poses, FoV tile sets, undelivered retargets (sequential, as
-        //    in the live server's plan pass).
+        // 1. Poses, FoV tile sets, undelivered retargets and the per-user
+        //    problem build into the scratch rows.
         for u in 0..users {
             let pose = gaze(config, u, slot);
             let cell = grid.cell_of(&pose.position);
@@ -206,29 +200,19 @@ pub fn run(config: &McastConfig) -> McastRunResult {
                     &ledgers[u],
                 ),
             });
-        }
-
-        // 2. Parallel per-user problem build into the scratch tables —
-        //    disjoint whole-row writes, bit-identical at every thread
-        //    count.
-        {
-            let undelivered = &undelivered;
-            let value_weights = &value_weights;
-            parallel_chunk_pairs(
-                &mut rates_table,
-                &mut values_table,
-                levels,
-                config.build_threads,
-                |u, rates, values| {
-                    let sums = undelivered[u].sums();
-                    let weights = &value_weights[u * levels..(u + 1) * levels];
-                    stage_rates_values(sums, CONTROL_OVERHEAD_MBPS, weights, rates, values);
-                    sanitize_rates(rates);
-                },
+            let row = u * levels..(u + 1) * levels;
+            let rates = &mut rates_table[row.clone()];
+            stage_rates_values(
+                undelivered[u].sums(),
+                CONTROL_OVERHEAD_MBPS,
+                &value_weights[row.clone()],
+                rates,
+                &mut values_table[row],
             );
+            sanitize_rates(rates);
         }
 
-        // 3. Group discovery (multicast) — unicast stages everyone alone.
+        // 2. Group discovery (multicast) — unicast stages everyone alone.
         let mut group_start_of: Vec<Option<usize>> = vec![None; users];
         let mut members_of: Vec<Vec<usize>> = Vec::new();
         let mut id_of: Vec<u64> = Vec::new();
@@ -248,7 +232,7 @@ pub fn run(config: &McastConfig) -> McastRunResult {
         }
         peak_groups = peak_groups.max(members_of.iter().filter(|m| m.len() >= 2).count());
 
-        // 4. Stage: walk users in plan order; a grouped user stages its
+        // 3. Stage: walk users in plan order; a grouped user stages its
         //    whole group at the first member's position, ungrouped users
         //    stage alone. With no groups this is exactly the unicast
         //    staging order.
@@ -291,7 +275,7 @@ pub fn run(config: &McastConfig) -> McastRunResult {
         staged_rows += staged.len() as u64;
         staged_members += users as u64;
 
-        // 5. Solve and account: each staged row is charged once; each
+        // 4. Solve and account: each staged row is charged once; each
         //    member receives min(assigned, cap) and acknowledges those
         //    tiles.
         let assignment = allocator.allocate_staged(&mut engine).to_vec();
@@ -333,21 +317,6 @@ pub fn run(config: &McastConfig) -> McastRunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classroom_runs_are_deterministic_across_build_threads() {
-        let mut config = McastConfig::classroom(8, true);
-        config.slots = 40;
-        let base = run(&config);
-        for threads in [2, 4] {
-            let mut c = config.clone();
-            c.build_threads = threads;
-            let other = run(&c);
-            assert_eq!(base.fingerprint, other.fingerprint, "threads {threads}");
-            assert_eq!(base.delivered_quality, other.delivered_quality);
-            assert_eq!(base.wire_mbit, other.wire_mbit);
-        }
-    }
 
     #[test]
     fn multicast_beats_unicast_in_a_crowded_classroom() {

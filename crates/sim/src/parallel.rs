@@ -197,67 +197,6 @@ where
     out
 }
 
-/// Fills paired flat tables in parallel: `a` and `b` are concatenations
-/// of `stride`-sized rows (one row pair per item), and `f(item, row_a,
-/// row_b)` fills item `item`'s rows. Items are split into contiguous
-/// chunks across up to `threads` scoped workers; every row pair is
-/// written by exactly one worker, so the result is identical at every
-/// thread count — this is the disjoint-write backbone of the parallel
-/// per-user problem build.
-///
-/// With `threads <= 1` (or a single item) the loop runs inline with no
-/// thread spawn at all.
-///
-/// # Panics
-///
-/// Panics if `stride` is zero, the slice lengths differ, or they are not
-/// a whole number of rows.
-pub fn parallel_chunk_pairs<A, B, F>(a: &mut [A], b: &mut [B], stride: usize, threads: usize, f: F)
-where
-    A: Send,
-    B: Send,
-    F: Fn(usize, &mut [A], &mut [B]) + Sync,
-{
-    assert!(stride > 0, "stride must be positive");
-    assert_eq!(a.len(), b.len(), "paired tables must have equal length");
-    assert!(
-        a.len().is_multiple_of(stride),
-        "tables must be a whole number of rows"
-    );
-    let items = a.len() / stride;
-    if items == 0 {
-        return;
-    }
-    let workers = threads.clamp(1, items);
-    if workers == 1 {
-        for (item, (row_a, row_b)) in a.chunks_mut(stride).zip(b.chunks_mut(stride)).enumerate() {
-            f(item, row_a, row_b);
-        }
-        return;
-    }
-
-    let chunk = items.div_ceil(workers);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let blocks = a
-            .chunks_mut(chunk * stride)
-            .zip(b.chunks_mut(chunk * stride))
-            .enumerate();
-        for (block_idx, (block_a, block_b)) in blocks {
-            scope.spawn(move || {
-                let base = block_idx * chunk;
-                for (offset, (row_a, row_b)) in block_a
-                    .chunks_mut(stride)
-                    .zip(block_b.chunks_mut(stride))
-                    .enumerate()
-                {
-                    f(base + offset, row_a, row_b);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,49 +263,6 @@ mod tests {
     fn map_reduce_empty_returns_identity() {
         let sum = map_reduce(&[], 4, || 0u64, |acc, s| *acc += s.seed, |a, b| *a += b);
         assert_eq!(sum, 0);
-    }
-
-    #[test]
-    fn parallel_chunk_pairs_fills_every_row_once_at_every_thread_count() {
-        let items = 13;
-        let stride = 6;
-        let fill = |threads: usize| {
-            let mut a = vec![0.0f64; items * stride];
-            let mut b = vec![0.0f64; items * stride];
-            parallel_chunk_pairs(&mut a, &mut b, stride, threads, |item, ra, rb| {
-                assert_eq!(ra.len(), stride);
-                assert_eq!(rb.len(), stride);
-                for (l, slot) in ra.iter_mut().enumerate() {
-                    *slot = (item * stride + l) as f64;
-                }
-                for (l, slot) in rb.iter_mut().enumerate() {
-                    *slot = -((item * stride + l) as f64);
-                }
-            });
-            (a, b)
-        };
-        let baseline = fill(1);
-        for threads in [2, 3, 4, 13, 32] {
-            assert_eq!(fill(threads), baseline, "{threads} threads diverged");
-        }
-        for (i, v) in baseline.0.iter().enumerate() {
-            assert_eq!(*v, i as f64, "row {i} missed");
-        }
-    }
-
-    #[test]
-    fn parallel_chunk_pairs_empty_is_a_no_op() {
-        let mut a: Vec<f64> = Vec::new();
-        let mut b: Vec<f64> = Vec::new();
-        parallel_chunk_pairs(&mut a, &mut b, 4, 8, |_, _, _| panic!("no items"));
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn parallel_chunk_pairs_rejects_mismatched_tables() {
-        let mut a = vec![0.0f64; 8];
-        let mut b = vec![0.0f64; 4];
-        parallel_chunk_pairs(&mut a, &mut b, 4, 2, |_, _, _| {});
     }
 
     #[test]

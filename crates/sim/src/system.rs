@@ -24,12 +24,12 @@ use cvr_content::library::ContentLibrary;
 use cvr_content::plane::{FovRequestCache, RatePlane, DEFAULT_PLANE_CELLS};
 use cvr_content::tile::{tiles_for_pose_into, TileId};
 use cvr_core::alloc::Allocator;
-use cvr_core::delay::{DelayModel, Mm1Delay};
+use cvr_core::delay::{DelayModel, Mm1Delay, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use cvr_core::engine::SlotEngine;
 use cvr_core::objective::QoeParams;
 use cvr_core::qoe::{SystemQoeSummary, UserQoeAccumulator, UserQoeSummary};
 use cvr_core::quality::QualityLevel;
-use cvr_core::stage::{stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
+use cvr_core::stage::{sanitize_rates, stage_rates_values_with, CONTROL_OVERHEAD_MBPS};
 use cvr_lookahead::{slot_credit, AnticipatoryDegrade, LookaheadConfig, Prefetcher};
 use cvr_motion::accuracy::DeltaEstimator;
 use cvr_motion::pose::Pose;
@@ -47,18 +47,8 @@ use cvr_net::trace::{TraceGeneratorConfig, TraceProfile};
 use crate::allocators::AllocatorKind;
 use crate::event::EventQueue;
 
-/// Pipeline depth: content predicted and sent at slot `s` is decoded at
-/// `s+1` and displayed at `s+2` (Section V, "Pipelining of transmission and
-/// decoding").
-pub const PIPELINE_SLOTS: usize = 2;
-
 /// One-way propagation delay of the single wireless hop, seconds.
 const PROPAGATION_S: f64 = 0.002;
-
-/// Transfers whose queueing delay exceeds this many slots are dropped
-/// ("each tile will either be displayed or dropped in each time slot");
-/// the recorded delay saturates here.
-pub const DELAY_CAP_SLOTS: f64 = 8.0;
 
 /// Configuration of a full-system run.
 #[derive(Debug, Clone)]
@@ -114,10 +104,6 @@ pub struct SystemConfig {
     /// Record per-slot, per-user time series (chosen level, viewed
     /// quality, delay) into the run result.
     pub record_timeseries: bool,
-    /// Threads used for the per-user problem build (`1` = inline, no
-    /// spawn). Per-user table writes are disjoint, so the assignments are
-    /// bit-identical at every thread count.
-    pub build_threads: usize,
     /// Lookahead horizon in display slots. `1` runs the paper's myopic
     /// per-slot allocator bit-for-bit (no lookahead code executes at
     /// all); `H > 1` additionally predicts the FoVs of the `H − 1` slots
@@ -150,7 +136,6 @@ impl SystemConfig {
             rendering: RenderingMode::Offline,
             scenario: None,
             record_timeseries: false,
-            build_threads: 1,
             horizon: 1,
             seed,
         }
@@ -471,7 +456,7 @@ pub fn run_instrumented(
     // user's primary runs the scenario's correlated impairment, bonded to
     // an LTE-like fallback under the deterministic failover policy. The
     // traces are pure functions of (config, seed), so scenario runs stay
-    // bit-identical at every build-thread count.
+    // bit-identical between runs and at every experiment thread count.
     let mut bonded: Option<Vec<BondedLink>> = config.scenario.map(|sc| {
         let impairment = ImpairmentConfig {
             duration_s: config.duration_s.max(60.0),
@@ -645,12 +630,16 @@ pub fn run_instrumented(
         // Build the slot problem directly into the engine's reused tables.
         let build_start = Instant::now();
 
-        // Sequential pass: resolve each user's FoV request (cached while
-        // the pose stays in the same cell + orientation bucket) and
-        // retarget the undelivered sums only when the request changed.
-        // Retransmission suppression happens here: the sums already hold
-        // the per-level rate of only the *undelivered* tiles, with each
-        // (cell, tile) complexity hashed once per resident cell ever.
+        // Per user: resolve the FoV request (cached while the pose stays
+        // in the same cell + orientation bucket), retarget the undelivered
+        // sums only when the request changed, then stage the rate and
+        // value rows. Retransmission suppression happens here: the sums
+        // already hold the per-level rate of only the *undelivered* tiles,
+        // with each (cell, tile) complexity hashed once per resident cell
+        // ever.
+        engine.begin_slot(config.server_total_mbps);
+        let floor_slots = PROPAGATION_S / dt;
+        let loss_p = loss_estimate.estimate();
         for u in 0..n {
             let cell = library.grid().cell_of(&predicted[u].position);
             let tiles = fov_caches[u].tiles_for(&predicted[u]);
@@ -659,71 +648,47 @@ pub fn run_instrumented(
             }
             #[cfg(debug_assertions)]
             undelivered[u].assert_matches_ledger(&ledgers[u]);
-        }
 
-        // Parallel fill: each user's table rows are a disjoint chunk of
-        // the staged tables, so any thread count produces bit-identical
-        // tables (and therefore assignments).
-        engine.begin_slot(config.server_total_mbps);
-        engine.add_users(levels, &estimated_bn);
-        {
-            let (rates_table, values_table) = engine.staged_tables_mut();
-            let floor_slots = PROPAGATION_S / dt;
-            let loss_p = loss_estimate.estimate();
-            let deltas = &deltas;
-            let accumulators = &accumulators;
-            let delay_estimators = &delay_estimators;
-            let undelivered = &undelivered;
-            let estimated_bn = &estimated_bn;
-            crate::parallel::parallel_chunk_pairs(
-                rates_table,
-                values_table,
-                levels,
-                config.build_threads.max(1),
-                |u, rates, values| {
-                    let delta = deltas[u].estimate();
-                    let tracker = *accumulators[u].tracker();
-                    let fallback = Mm1Delay::new(estimated_bn[u]).expect("positive estimate");
-                    let delay_model = EstimatedDelay {
-                        poly: &delay_estimators[u],
-                        fallback,
-                        floor_slots,
+            let delta = deltas[u].estimate();
+            let tracker = *accumulators[u].tracker();
+            let fallback = Mm1Delay::new(estimated_bn[u]).expect("positive estimate");
+            let delay_model = EstimatedDelay {
+                poly: &delay_estimators[u],
+                fallback,
+                floor_slots,
+            };
+            let tables = engine.add_user(levels, estimated_bn[u]);
+            // The objective prices each level at its *incremental*
+            // transmission cost `raw` (the suppressed rate), not the
+            // full-library rate — what this slot will actually send. The
+            // fused kernel stages the rate row and hands `raw` to the
+            // unchanged value formula per level.
+            stage_rates_values_with(
+                undelivered[u].sums(),
+                CONTROL_OVERHEAD_MBPS,
+                tables.rates,
+                tables.values,
+                |l, raw| {
+                    let q = QualityLevel::new((l + 1) as u8);
+                    let delta_eff = match mode {
+                        ObjectiveMode::LossAware => {
+                            let packets = packets_for_rate(raw, dt, config.packet_size_kbit);
+                            let survive = 1.0 - transfer_loss_probability(loss_p, packets);
+                            delta * survive
+                        }
+                        _ => delta,
                     };
-                    let sums = undelivered[u].sums();
-                    // The objective prices each level at its *incremental*
-                    // transmission cost `raw` (the suppressed rate), not
-                    // the full-library rate — what this slot will actually
-                    // send. The fused kernel stages the rate row and hands
-                    // `raw` to the unchanged value formula per level.
-                    stage_rates_values_with(
-                        sums,
-                        CONTROL_OVERHEAD_MBPS,
-                        rates,
-                        values,
-                        |l, raw| {
-                            let q = QualityLevel::new((l + 1) as u8);
-                            let delta_eff = match mode {
-                                ObjectiveMode::LossAware => {
-                                    let packets =
-                                        packets_for_rate(raw, dt, config.packet_size_kbit);
-                                    let survive = 1.0 - transfer_loss_probability(loss_p, packets);
-                                    delta * survive
-                                }
-                                _ => delta,
-                            };
-                            let quality_term = delta_eff * q.value();
-                            let delay_term = match mode {
-                                ObjectiveMode::DelayBlind => 0.0,
-                                _ => config.params.alpha * delay_model.delay(raw),
-                            };
-                            let variance_term =
-                                config.params.beta * tracker.expected_penalty(q.value(), delta_eff);
-                            quality_term - delay_term - variance_term
-                        },
-                    );
-                    sanitize_rates(rates);
+                    let quality_term = delta_eff * q.value();
+                    let delay_term = match mode {
+                        ObjectiveMode::DelayBlind => 0.0,
+                        _ => config.params.alpha * delay_model.delay(raw),
+                    };
+                    let variance_term =
+                        config.params.beta * tracker.expected_penalty(q.value(), delta_eff);
+                    quality_term - delay_term - variance_term
                 },
             );
+            sanitize_rates(tables.rates);
         }
         engine.timers_mut().build.record(build_start.elapsed());
 
@@ -1030,22 +995,6 @@ pub fn transfer_loss_probability(p: f64, packets: u32) -> f64 {
     1.0 - (1.0 - p.clamp(0.0, 1.0)).powi(packets as i32)
 }
 
-/// Forces a raw per-level rate vector to be positive and strictly
-/// increasing (retransmission suppression can make levels momentarily
-/// equal-cost; the allocator's invariants require strict monotonicity).
-/// Public so every loop that stages ledger-suppressed rates into a
-/// [`SlotEngine`] — the system simulator here, the live server runtime —
-/// enforces the same invariant the same way.
-pub fn sanitize_rates(rates: &mut [f64]) {
-    let mut floor = 0.05;
-    for r in rates.iter_mut() {
-        if !r.is_finite() || *r < floor {
-            *r = floor;
-        }
-        floor = *r * 1.000_001 + 1e-6;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1059,35 +1008,11 @@ mod tests {
     }
 
     #[test]
-    fn sanitize_rates_makes_strictly_increasing_positive() {
-        let mut r = vec![0.0, 0.0, 5.0, 5.0, 4.0, f64::NAN];
-        sanitize_rates(&mut r);
-        assert!(r[0] > 0.0);
-        for w in r.windows(2) {
-            assert!(w[1] > w[0], "{r:?} not strictly increasing");
-        }
-    }
-
-    #[test]
     fn runs_deterministically() {
         let cfg = tiny(3);
         let a = run(&cfg, AllocatorKind::DensityValueGreedy);
         let b = run(&cfg, AllocatorKind::DensityValueGreedy);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn build_threads_do_not_change_results() {
-        let cfg = tiny(21);
-        let baseline = run(&cfg, AllocatorKind::DensityValueGreedy);
-        for threads in [2, 3] {
-            let threaded = SystemConfig {
-                build_threads: threads,
-                ..cfg.clone()
-            };
-            let r = run(&threaded, AllocatorKind::DensityValueGreedy);
-            assert_eq!(r, baseline, "build_threads = {threads} diverged");
-        }
     }
 
     #[test]
@@ -1254,21 +1179,16 @@ mod tests {
     }
 
     #[test]
-    fn scenario_runs_are_deterministic_across_build_threads() {
+    fn scenario_runs_are_deterministic() {
         for pathology in Pathology::ALL {
             let cfg = SystemConfig {
                 scenario: Some(NetScenario::paper_default(pathology)),
                 ..tiny(31)
             };
-            let baseline = run(&cfg, AllocatorKind::DensityValueGreedy);
-            let threaded = SystemConfig {
-                build_threads: 3,
-                ..cfg.clone()
-            };
             assert_eq!(
-                run(&threaded, AllocatorKind::DensityValueGreedy),
-                baseline,
-                "{pathology:?} diverged across build threads"
+                run(&cfg, AllocatorKind::DensityValueGreedy),
+                run(&cfg, AllocatorKind::DensityValueGreedy),
+                "{pathology:?} diverged between identical runs"
             );
         }
     }
@@ -1347,17 +1267,11 @@ mod tests {
         let m = run(&myopic, AllocatorKind::DensityValueGreedy);
         let a = run(&ahead, AllocatorKind::DensityValueGreedy);
         assert_ne!(m, a, "horizon 4 must engage the lookahead subsystem");
-        for threads in [2, 3] {
-            let threaded = SystemConfig {
-                build_threads: threads,
-                ..ahead.clone()
-            };
-            assert_eq!(
-                run(&threaded, AllocatorKind::DensityValueGreedy),
-                a,
-                "horizon 4 diverged at build_threads = {threads}"
-            );
-        }
+        assert_eq!(
+            run(&ahead, AllocatorKind::DensityValueGreedy),
+            a,
+            "horizon 4 diverged between identical runs"
+        );
     }
 
     #[test]

@@ -77,10 +77,6 @@ pub struct TraceSimConfig {
     /// quality, delay) into the run result — for slot-level analysis and
     /// plotting. Costs memory proportional to `users × slots`.
     pub record_timeseries: bool,
-    /// Threads used for the per-user problem build (`1` = inline, no
-    /// spawn). Per-user table writes are disjoint, so the assignments are
-    /// bit-identical at every thread count.
-    pub build_threads: usize,
     /// Lookahead horizon in slots. `1` is the paper's myopic Section-IV
     /// loop bit-for-bit. `H > 1` runs the [`cvr_lookahead`] anticipatory
     /// degrade with *known* future throughput (this simulator owns its
@@ -108,7 +104,6 @@ impl TraceSimConfig {
             trace_override: None,
             motion_override: None,
             record_timeseries: false,
-            build_threads: 1,
             horizon: 1,
         }
     }
@@ -338,8 +333,10 @@ pub fn run_instrumented(
             }
         }
 
-        // Sequential pass: resolve each user's FoV request from the cache
-        // and refresh its rate table only on cell/bucket crossings.
+        // Per user: resolve the FoV request from the cache, refresh its
+        // rate table only on cell/bucket crossings, then stage the rows.
+        engine.begin_slot(server_budget);
+        let params = config.params;
         for u in 0..n {
             let cell = library.grid().cell_of(&predicted[u].position);
             let tiles = fov_caches[u].tiles_for(&predicted[u]);
@@ -348,51 +345,31 @@ pub fn run_instrumented(
             }
             #[cfg(debug_assertions)]
             rate_sums[u].assert_matches_ledger(&empty_ledger);
-        }
 
-        // Parallel fill over disjoint per-user table rows.
-        engine.begin_slot(server_budget);
-        engine.add_users(levels, &link_budgets);
-        {
-            let (rates_table, values_table) = engine.staged_tables_mut();
-            let deltas = &deltas;
-            let accumulators = &accumulators;
-            let link_budgets = &link_budgets;
-            let rate_sums = &rate_sums;
-            let params = config.params;
-            crate::parallel::parallel_chunk_pairs(
-                rates_table,
-                values_table,
-                levels,
-                config.build_threads.max(1),
-                |u, rates, values| {
-                    let delay_model =
-                        Mm1Delay::new(link_budgets[u]).expect("trace throughput is positive");
-                    let delta = deltas[u].estimate();
-                    let tracker = *accumulators[u].tracker();
-                    let table = SliceRate(rate_sums[u].sums());
-                    // The Section-IV trace model has no control stream, so
-                    // the staged rate row is the undelivered sums verbatim:
-                    // zero overhead keeps the kernel's `sums[l] + 0.0` a
-                    // bitwise copy (the sums are non-negative fold results,
-                    // never -0.0).
-                    stage_rates_values_with(table.0, 0.0, rates, values, |l, _raw| {
-                        let q = QualityLevel::new((l + 1) as u8);
-                        if delay_aware {
-                            h_value(params, delta, &tracker, &table, &delay_model, q)
-                        } else {
-                            h_value(
-                                params,
-                                delta,
-                                &tracker,
-                                &table,
-                                &cvr_core::delay::ZeroDelay::new(),
-                                q,
-                            )
-                        }
-                    });
-                },
-            );
+            let delay_model = Mm1Delay::new(link_budgets[u]).expect("trace throughput is positive");
+            let delta = deltas[u].estimate();
+            let tracker = *accumulators[u].tracker();
+            let table = SliceRate(rate_sums[u].sums());
+            let tables = engine.add_user(levels, link_budgets[u]);
+            // The Section-IV trace model has no control stream, so the
+            // staged rate row is the undelivered sums verbatim: zero
+            // overhead keeps the kernel's `sums[l] + 0.0` a bitwise copy
+            // (the sums are non-negative fold results, never -0.0).
+            stage_rates_values_with(table.0, 0.0, tables.rates, tables.values, |l, _raw| {
+                let q = QualityLevel::new((l + 1) as u8);
+                if delay_aware {
+                    h_value(params, delta, &tracker, &table, &delay_model, q)
+                } else {
+                    h_value(
+                        params,
+                        delta,
+                        &tracker,
+                        &table,
+                        &cvr_core::delay::ZeroDelay::new(),
+                        q,
+                    )
+                }
+            });
         }
         engine.timers_mut().build.record(build_start.elapsed());
 
@@ -472,20 +449,6 @@ mod tests {
         let a = run(&cfg, AllocatorKind::DensityValueGreedy);
         let b = run(&cfg, AllocatorKind::DensityValueGreedy);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn build_threads_do_not_change_results() {
-        let cfg = small_config(13);
-        let baseline = run(&cfg, AllocatorKind::DensityValueGreedy);
-        for threads in [2, 3] {
-            let threaded = TraceSimConfig {
-                build_threads: threads,
-                ..cfg.clone()
-            };
-            let r = run(&threaded, AllocatorKind::DensityValueGreedy);
-            assert_eq!(r, baseline, "build_threads = {threads} diverged");
-        }
     }
 
     #[test]
@@ -647,14 +610,10 @@ mod tests {
         let m = run(&myopic, AllocatorKind::DensityValueGreedy);
         let a = run(&ahead, AllocatorKind::DensityValueGreedy);
         assert_ne!(m, a, "horizon 8 must engage the anticipatory degrade");
-        let threaded = TraceSimConfig {
-            build_threads: 3,
-            ..ahead.clone()
-        };
         assert_eq!(
-            run(&threaded, AllocatorKind::DensityValueGreedy),
+            run(&ahead, AllocatorKind::DensityValueGreedy),
             a,
-            "horizon 8 diverged across build threads"
+            "horizon 8 diverged between identical runs"
         );
     }
 
