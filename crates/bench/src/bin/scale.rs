@@ -18,6 +18,9 @@ use cvr_sim::allocators::AllocatorKind;
 use cvr_sim::parallel::{self, RunSpec};
 use cvr_sim::system::{self, SystemConfig, SystemRunResult};
 
+/// Shortest 1-thread wall time a sweep point should take, seconds.
+const MIN_POINT_WALL_S: f64 = 1.0;
+
 /// One timed sweep point.
 struct Entry {
     setup: &'static str,
@@ -48,7 +51,6 @@ fn run_sessions(
 
 fn main() {
     let args = FigureArgs::parse();
-    let sessions = args.runs_or(16).max(2);
     let duration = args.duration_or(6.0);
     let available = parallel::available_threads();
     // On a single-core host a multi-thread wall-clock comparison measures
@@ -59,6 +61,18 @@ fn main() {
     let mut thread_counts = vec![1usize, 2, 4, available];
     thread_counts.sort_unstable();
     thread_counts.dedup();
+    // Enough sessions per point to measure: the cheaper setup's 1-thread
+    // run must last `MIN_POINT_WALL_S`, or a scaled-down sweep times
+    // thread start-up and one straggling session, not the work.
+    let mut sessions = args.runs_or(16).max(2);
+    let probe = SystemConfig {
+        duration_s: duration,
+        ..SystemConfig::setup1(args.seed)
+    };
+    let (_, probe_wall) = run_sessions(&probe, &parallel::run_specs(args.seed, sessions), 1);
+    if probe_wall < MIN_POINT_WALL_S {
+        sessions = (sessions as f64 * MIN_POINT_WALL_S / probe_wall).ceil() as usize;
+    }
 
     println!(
         "# Parallel runner scaling — {sessions} sessions × {duration:.1} s, \

@@ -438,9 +438,35 @@ impl UndeliveredSums {
         &self.sums
     }
 
-    /// Cross-checks the incremental sums against a brute-force recompute
-    /// from `ledger` (the debug assertion the build path runs under
-    /// `debug_assertions`). Bit-exact comparison.
+    /// The delivered bits of level index `l` over the target tiles, in
+    /// tile order — the ledger's answer for those ids, without probing it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `l >= levels`.
+    pub fn delivered(&self, l: usize) -> &[bool] {
+        let n = self.tiles.len();
+        &self.delivered[l * n..(l + 1) * n]
+    }
+
+    /// The target's ids at `quality` that are not yet delivered, in tile
+    /// order: the manifest a transmit at that quality sends.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is targeted yet or `quality` is above the ladder.
+    pub fn undelivered_ids(&self, quality: QualityLevel) -> impl Iterator<Item = VideoId> + '_ {
+        let cell = self.cell.expect("undelivered_ids before any retarget");
+        self.tiles
+            .iter()
+            .zip(self.delivered(quality.index()))
+            .filter(|(_, &done)| !done)
+            .map(move |(&tile, _)| VideoId::new(cell, tile, quality))
+    }
+
+    /// Cross-checks the delivered mask and the incremental sums against a
+    /// brute-force recompute from `ledger` (the debug assertion the build
+    /// path runs under `debug_assertions`). Bit-exact comparison.
     ///
     /// # Panics
     ///
@@ -453,7 +479,14 @@ impl UndeliveredSums {
             let q = QualityLevel::new((l + 1) as u8);
             let mut brute = 0.0f64;
             for (t, &tile) in self.tiles.iter().enumerate() {
-                if !ledger.is_delivered(&VideoId::new(cell, tile, q)) {
+                let delivered = ledger.is_delivered(&VideoId::new(cell, tile, q));
+                assert_eq!(
+                    delivered,
+                    self.delivered(l)[t],
+                    "delivered mask drifted at level {} tile {tile}",
+                    l + 1
+                );
+                if !delivered {
                     brute += self.rows[l * self.tiles.len() + t];
                 }
             }

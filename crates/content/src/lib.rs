@@ -37,4 +37,4 @@ pub use id::VideoId;
 pub use library::{ContentLibrary, ContentRequest};
 pub use plane::{FovRequestCache, OrientationKey, RatePlane, SharedFovCache};
 pub use sizing::TileSizeModel;
-pub use tile::{tiles_for_pose, tiles_for_pose_into, TileId};
+pub use tile::{tiles_for_pose, tiles_for_pose_into, TileId, TileSet};

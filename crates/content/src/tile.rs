@@ -63,25 +63,75 @@ impl std::fmt::Display for TileId {
     }
 }
 
-/// Returns `true` when the angular interval `[a0, a1]` (yaw, possibly
-/// wrapping) intersects the tile's `[t0, t1)` yaw range.
-fn yaw_interval_overlaps(a0: f64, a1: f64, t0: f64, t1: f64) -> bool {
-    // Sample-based check is robust to wrapping: test a dense set of angles
-    // inside the view interval.
-    let span = a1 - a0;
-    let steps = 16;
-    (0..=steps).any(|i| {
-        let angle = wrap_degrees(a0 + span * i as f64 / steps as f64);
-        angle >= t0 && angle < t1
-    })
+/// The four-or-fewer tiles of one FoV request, held inline in
+/// [`TileId::all`] order — the same set [`tiles_for_pose`] returns,
+/// without a heap buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TileSet {
+    tiles: [TileId; TileId::COUNT as usize],
+    len: u8,
+}
+
+impl TileSet {
+    /// The tiles overlapping the FoV (with margin) around `pose`.
+    ///
+    /// Pitch overlap is an interval test per tile. Yaw overlap samples the
+    /// view interval at 17 evenly spaced angles: robust to wrapping, and
+    /// each sample is wrapped once and classified into the western and
+    /// eastern halves together, stopping as soon as both are hit. The
+    /// `angle >= t0 && angle < t1` predicate makes NaN and ±inf poses hit
+    /// neither half.
+    pub fn for_pose(spec: &FovSpec, pose: &Pose) -> Self {
+        let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+        let half_h = spec.height_deg / 2.0 + spec.margin_deg;
+        let yaw = pose.orientation.yaw;
+        // Clamp to the sphere: a pose with out-of-range pitch still views
+        // content at the pole.
+        let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
+        let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
+
+        // `yaw_hit[h]`: the view touches yaw half `h` (0 west, 1 east).
+        let halves = [TileId(0).yaw_range(), TileId(1).yaw_range()];
+        let mut yaw_hit = [half_w >= 180.0; 2];
+        if !yaw_hit[0] {
+            let (a0, a1) = (yaw - half_w, yaw + half_w);
+            let span = a1 - a0;
+            let steps = 16;
+            for i in 0..=steps {
+                let angle = wrap_degrees(a0 + span * i as f64 / steps as f64);
+                for (hit, &(t0, t1)) in yaw_hit.iter_mut().zip(&halves) {
+                    *hit |= angle >= t0 && angle < t1;
+                }
+                if yaw_hit == [true; 2] {
+                    break;
+                }
+            }
+        }
+
+        let mut set = TileSet {
+            tiles: [TileId(0); TileId::COUNT as usize],
+            len: 0,
+        };
+        for tile in TileId::all() {
+            let (t_p0, t_p1) = tile.pitch_range();
+            if p_lo < t_p1 && p_hi > t_p0 && yaw_hit[usize::from(tile.0 % 2)] {
+                set.tiles[usize::from(set.len)] = tile;
+                set.len += 1;
+            }
+        }
+        set
+    }
+
+    /// The tiles, in [`TileId::all`] order.
+    pub fn as_slice(&self) -> &[TileId] {
+        &self.tiles[..usize::from(self.len)]
+    }
 }
 
 /// The set of tiles overlapping the FoV (with margin) around the given
 /// pose — the tiles the server must deliver for that pose.
 pub fn tiles_for_pose(spec: &FovSpec, pose: &Pose) -> Vec<TileId> {
-    let mut out = Vec::with_capacity(usize::from(TileId::COUNT));
-    tiles_for_pose_into(spec, pose, &mut out);
-    out
+    TileSet::for_pose(spec, pose).as_slice().to_vec()
 }
 
 /// Buffer-reusing variant of [`tiles_for_pose`]: clears `out` and fills it
@@ -89,25 +139,7 @@ pub fn tiles_for_pose(spec: &FovSpec, pose: &Pose) -> Vec<TileId> {
 /// buffer has grown to four entries.
 pub fn tiles_for_pose_into(spec: &FovSpec, pose: &Pose, out: &mut Vec<TileId>) {
     out.clear();
-    let half_w = spec.width_deg / 2.0 + spec.margin_deg;
-    let half_h = spec.height_deg / 2.0 + spec.margin_deg;
-    let yaw = pose.orientation.yaw;
-    // Clamp to the sphere: a pose with out-of-range pitch still views
-    // content at the pole.
-    let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
-    let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
-
-    out.extend(TileId::all().into_iter().filter(|tile| {
-        let (t_p0, t_p1) = tile.pitch_range();
-        let pitch_overlap = p_lo < t_p1 && p_hi > t_p0;
-        let (t_y0, t_y1) = tile.yaw_range();
-        let yaw_overlap = if half_w >= 180.0 {
-            true
-        } else {
-            yaw_interval_overlaps(yaw - half_w, yaw + half_w, t_y0, t_y1)
-        };
-        pitch_overlap && yaw_overlap
-    }));
+    out.extend_from_slice(TileSet::for_pose(spec, pose).as_slice());
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@ use cvr_content::grid::{CellId, GridWorld};
 use cvr_content::id::VideoId;
 use cvr_content::plane::{FovRequestCache, RatePlane, SharedFovCache};
 use cvr_content::sizing::TileSizeModel;
-use cvr_content::tile::{tiles_for_pose, TileId};
+use cvr_content::tile::{tiles_for_pose, tiles_for_pose_into, TileId, TileSet};
 use cvr_core::quality::QualityLevel;
 use cvr_motion::fov::FovSpec;
-use cvr_motion::pose::{Orientation, Pose, Vec3};
+use cvr_motion::pose::{wrap_degrees, Orientation, Pose, Vec3};
 use proptest::prelude::*;
 
 fn arb_pose() -> impl Strategy<Value = Pose> {
@@ -17,7 +17,115 @@ fn arb_pose() -> impl Strategy<Value = Pose> {
     })
 }
 
+/// The tile test before the yaw samples were shared between tiles: one
+/// 17-sample sweep per tile, kept verbatim as the bit-identity oracle.
+fn yaw_interval_overlaps(a0: f64, a1: f64, t0: f64, t1: f64) -> bool {
+    // Sample-based check is robust to wrapping: test a dense set of angles
+    // inside the view interval.
+    let span = a1 - a0;
+    let steps = 16;
+    (0..=steps).any(|i| {
+        let angle = wrap_degrees(a0 + span * i as f64 / steps as f64);
+        angle >= t0 && angle < t1
+    })
+}
+
+/// The per-tile sampler `tiles_for_pose_into` replaced, verbatim.
+fn per_tile_sampler(spec: &FovSpec, pose: &Pose, out: &mut Vec<TileId>) {
+    out.clear();
+    let half_w = spec.width_deg / 2.0 + spec.margin_deg;
+    let half_h = spec.height_deg / 2.0 + spec.margin_deg;
+    let yaw = pose.orientation.yaw;
+    let pitch = pose.orientation.pitch.clamp(-90.0, 90.0);
+    let (p_lo, p_hi) = (pitch - half_h, pitch + half_h);
+
+    out.extend(TileId::all().into_iter().filter(|tile| {
+        let (t_p0, t_p1) = tile.pitch_range();
+        let pitch_overlap = p_lo < t_p1 && p_hi > t_p0;
+        let (t_y0, t_y1) = tile.yaw_range();
+        let yaw_overlap = if half_w >= 180.0 {
+            true
+        } else {
+            yaw_interval_overlaps(yaw - half_w, yaw + half_w, t_y0, t_y1)
+        };
+        pitch_overlap && yaw_overlap
+    }));
+}
+
+/// FoV specs from narrow to wider than the sphere (`half_w ≥ 180`), with
+/// widths and margins off the 5° grid so bucket quanta need not align
+/// with the tile breakpoints.
+fn arb_spec() -> impl Strategy<Value = FovSpec> {
+    (0.0f64..420.0, 0.0f64..240.0, 0.0f64..90.0).prop_map(|(width, height, margin)| FovSpec {
+        width_deg: width,
+        height_deg: height,
+        margin_deg: margin,
+        ..FovSpec::paper_default()
+    })
+}
+
+/// Yaws on the circle, far off it, non-finite, and on the seams.
+fn arb_yaw() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 8] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -180.0,
+        -0.0,
+        0.0,
+        180.0,
+        360.0,
+    ];
+    (
+        0u8..10,
+        -540.0f64..540.0,
+        -1e300f64..1e300,
+        0usize..SPECIAL.len(),
+    )
+        .prop_map(|(kind, near, far, special)| match kind {
+            0..=4 => near,
+            5..=6 => far,
+            _ => SPECIAL[special],
+        })
+}
+
+/// Pitches inside and outside ±90, and non-finite.
+fn arb_pitch() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    (0u8..8, -300.0f64..300.0, 0usize..SPECIAL.len()).prop_map(|(kind, pitch, special)| {
+        if kind < 7 {
+            pitch
+        } else {
+            SPECIAL[special]
+        }
+    })
+}
+
 proptest! {
+    // The shared-sample tile test returns exactly the set, in exactly the
+    // order, of the per-tile sampler it replaced — for any spec and any
+    // pose, finite or not — through every entry point.
+    #[test]
+    fn tile_test_matches_the_per_tile_sampler(
+        spec in arb_spec(),
+        poses in prop::collection::vec((arb_yaw(), arb_pitch()), 1..16),
+    ) {
+        let mut expected = Vec::new();
+        let mut reused = Vec::new();
+        for (yaw, pitch) in poses {
+            // A struct literal, not `Orientation::new`: the yaw must reach
+            // the tile test unwrapped.
+            let orientation = Orientation { yaw, pitch, roll: 0.0 };
+            let pose = Pose::new(Vec3::default(), orientation);
+            per_tile_sampler(&spec, &pose, &mut expected);
+            tiles_for_pose_into(&spec, &pose, &mut reused);
+            prop_assert_eq!(&reused, &expected, "yaw {} pitch {} spec {:?}", yaw, pitch, spec);
+            prop_assert_eq!(&tiles_for_pose(&spec, &pose), &expected);
+            let inline = TileSet::for_pose(&spec, &pose);
+            prop_assert_eq!(inline.as_slice(), expected.as_slice());
+        }
+    }
+
     #[test]
     fn tile_set_never_empty_and_within_bounds(pose in arb_pose(), margin in 0.0f64..60.0) {
         let spec = FovSpec::paper_default().with_margin(margin);

@@ -20,12 +20,9 @@
 
 use std::collections::HashMap;
 
-use cvr_content::cache::DeliveryLedger;
+use cvr_content::cache::UndeliveredSums;
 use cvr_content::grid::CellId;
-use cvr_content::id::VideoId;
 use cvr_content::plane::OrientationKey;
-use cvr_content::tile::TileId;
-use cvr_core::quality::QualityLevel;
 
 /// FNV-1a offset basis (the same constant the bench fingerprints use).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -60,19 +57,19 @@ pub struct GroupKey {
 /// per-level undelivered rate sums. Two users with equal fingerprints
 /// (over the same `(cell, tiles)`) would be sent byte-identical manifests
 /// at every quality level.
-pub fn content_fingerprint(
-    cell: CellId,
-    tiles: &[TileId],
-    sums: &[f64],
-    ledger: &DeliveryLedger,
-) -> u64 {
+///
+/// The delivered bits come from the accumulator's mask, which the paired
+/// ACK/release calls keep equal to the ledger's answer for the targeted
+/// ids, so no ledger lookup is needed.
+pub fn content_fingerprint(undelivered: &UndeliveredSums) -> u64 {
+    let tiles = undelivered.tiles();
+    let sums = undelivered.sums();
     let mut hash = FNV_OFFSET;
     hash = fnv(hash, &(tiles.len() as u64).to_le_bytes());
-    for &tile in tiles {
+    for (t, &tile) in tiles.iter().enumerate() {
         hash = fnv(hash, &[tile.get()]);
-        for l in 1..=sums.len() as u8 {
-            let delivered = ledger.is_delivered(&VideoId::new(cell, tile, QualityLevel::new(l)));
-            hash = fnv(hash, &[u8::from(delivered)]);
+        for l in 0..sums.len() {
+            hash = fnv(hash, &[u8::from(undelivered.delivered(l)[t])]);
         }
     }
     for &s in sums {
@@ -115,7 +112,11 @@ pub struct GroupTracker {
     next_id: u64,
     known: HashMap<GroupKey, KnownKey>,
     slot: u64,
+    /// The current slot's groups are `groups[..active]`; entries past
+    /// `active` are earlier slots' groups kept so their member `Vec`s are
+    /// reused instead of reallocated.
     groups: Vec<Group>,
+    active: usize,
     /// Maps a group id to its index in `groups` for the current slot.
     index: HashMap<u64, usize>,
 }
@@ -130,6 +131,7 @@ impl GroupTracker {
             known: HashMap::new(),
             slot: 0,
             groups: Vec::new(),
+            active: 0,
             index: HashMap::new(),
         }
     }
@@ -139,7 +141,7 @@ impl GroupTracker {
     /// anything.
     pub fn begin_slot(&mut self, slot: u64) {
         self.slot = slot;
-        self.groups.clear();
+        self.active = 0;
         self.index.clear();
     }
 
@@ -170,12 +172,20 @@ impl GroupTracker {
         match self.index.get(&id) {
             Some(&at) => self.groups[at].members.push(member),
             None => {
-                self.index.insert(id, self.groups.len());
-                self.groups.push(Group {
-                    id,
-                    key,
-                    members: vec![member],
-                });
+                self.index.insert(id, self.active);
+                if let Some(group) = self.groups.get_mut(self.active) {
+                    group.id = id;
+                    group.key = key;
+                    group.members.clear();
+                    group.members.push(member);
+                } else {
+                    self.groups.push(Group {
+                        id,
+                        key,
+                        members: vec![member],
+                    });
+                }
+                self.active += 1;
             }
         }
         id
@@ -186,19 +196,22 @@ impl GroupTracker {
     pub fn finish_slot(&mut self) -> &[Group] {
         let cutoff = self.slot.saturating_sub(self.hysteresis_slots);
         self.known.retain(|_, k| k.last_seen >= cutoff);
-        &self.groups
+        self.groups()
     }
 
     /// The current slot's groups (valid after
     /// [`GroupTracker::finish_slot`]).
     pub fn groups(&self) -> &[Group] {
-        &self.groups
+        &self.groups[..self.active]
     }
 
     /// Number of groups with two or more members this slot — the value
     /// behind the `cvr_mcast_groups` gauge.
     pub fn multicast_groups(&self) -> usize {
-        self.groups.iter().filter(|g| g.members.len() >= 2).count()
+        self.groups()
+            .iter()
+            .filter(|g| g.members.len() >= 2)
+            .count()
     }
 
     /// Number of keys currently remembered (for tests and introspection).
@@ -300,21 +313,33 @@ mod tests {
 
     #[test]
     fn content_fingerprint_tracks_delivered_bits() {
+        use cvr_content::cache::DeliveryLedger;
+        use cvr_content::id::VideoId;
+        use cvr_content::tile::TileId;
+        use cvr_core::quality::QualityLevel;
+
         let cell = CellId { x: 3, z: -2 };
         let tiles = [TileId::new(0), TileId::new(2)];
-        let sums = [4.0, 8.0, 16.0];
+        // Level-major 3 × 4 rate table.
+        let rows: Vec<f64> = (0..12).map(|i| 1.0 + i as f64).collect();
         let mut ledger = DeliveryLedger::new();
-        let before = content_fingerprint(cell, &tiles, &sums, &ledger);
+        let mut undelivered = UndeliveredSums::new(3);
+        undelivered.retarget(cell, &tiles, &rows, &ledger);
+        let before = content_fingerprint(&undelivered);
         assert_eq!(
             before,
-            content_fingerprint(cell, &tiles, &sums, &ledger),
+            content_fingerprint(&undelivered),
             "fingerprint must be a pure function"
         );
-        ledger.acknowledge(VideoId::new(cell, TileId::new(0), QualityLevel::new(2)));
-        let after = content_fingerprint(cell, &tiles, &sums, &ledger);
+        let id = |t: u8| VideoId::new(cell, TileId::new(t), QualityLevel::new(2));
+        undelivered.acknowledge(&mut ledger, id(0));
+        let after = content_fingerprint(&undelivered);
         assert_ne!(before, after, "a delivered bit must change the key");
         // A delivery on a tile outside the target set is invisible.
-        ledger.acknowledge(VideoId::new(cell, TileId::new(1), QualityLevel::new(2)));
-        assert_eq!(after, content_fingerprint(cell, &tiles, &sums, &ledger));
+        undelivered.acknowledge(&mut ledger, id(1));
+        assert_eq!(after, content_fingerprint(&undelivered));
+        // Releasing the targeted tile restores the original key.
+        undelivered.release(&mut ledger, [id(0)]);
+        assert_eq!(before, content_fingerprint(&undelivered));
     }
 }

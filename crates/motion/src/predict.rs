@@ -35,6 +35,10 @@ pub struct LinearPredictor {
     window: usize,
     /// History of unwrapped components, one deque per axis.
     history: [VecDeque<f64>; 6],
+    /// Per-axis `(slope, intercept)` of the least-squares line over
+    /// `history` at abscissae `0..n`, refitted by every
+    /// [`LinearPredictor::observe`] (meaningful from two observations on).
+    fit: [(f64, f64); 6],
     /// Last raw yaw, for unwrapping.
     last_yaw: Option<f64>,
     /// Running unwrapped yaw.
@@ -52,7 +56,8 @@ impl LinearPredictor {
         assert!(window >= 2, "regression window must be at least 2");
         LinearPredictor {
             window,
-            history: Default::default(),
+            history: std::array::from_fn(|_| VecDeque::with_capacity(window)),
+            fit: [(0.0, 0.0); 6],
             last_yaw: None,
             unwrapped_yaw: 0.0,
         }
@@ -68,7 +73,8 @@ impl LinearPredictor {
         self.history[0].len()
     }
 
-    /// Feeds the pose measured in the current slot.
+    /// Feeds the pose measured in the current slot and refits every axis,
+    /// so predictions only evaluate the stored lines.
     pub fn observe(&mut self, pose: &Pose) {
         let mut c = pose.components();
         // Unwrap yaw: accumulate the wrapped delta.
@@ -86,9 +92,12 @@ impl LinearPredictor {
 
         for (axis, &value) in c.iter().enumerate() {
             let h = &mut self.history[axis];
-            h.push_back(value);
-            if h.len() > self.window {
+            if h.len() == self.window {
                 h.pop_front();
+            }
+            h.push_back(value);
+            if h.len() >= 2 {
+                self.fit[axis] = fit_line(h);
             }
         }
     }
@@ -125,9 +134,12 @@ impl LinearPredictor {
         if n < 2 {
             return None;
         }
+        // The fit lives in observation-index space: the last observation
+        // sits at `n - 1`, the target `horizon` intervals past it.
+        let x = n as f64 - 1.0 + horizon;
         let mut out = [0.0f64; 6];
-        for (axis, h) in self.history.iter().enumerate() {
-            out[axis] = extrapolate(h, horizon);
+        for (axis, &(slope, intercept)) in self.fit.iter().enumerate() {
+            out[axis] = slope * x + intercept;
         }
         // Re-wrap yaw into canonical range; clamp pitch/roll to physical
         // head limits (long extrapolations must not leave the sphere).
@@ -142,14 +154,15 @@ impl LinearPredictor {
         for h in &mut self.history {
             h.clear();
         }
+        self.fit = [(0.0, 0.0); 6];
         self.last_yaw = None;
         self.unwrapped_yaw = 0.0;
     }
 }
 
-/// Least-squares line fit over `values` at abscissae `0..n`, evaluated at
-/// `n - 1 + horizon`.
-fn extrapolate(values: &VecDeque<f64>, horizon: f64) -> f64 {
+/// Least-squares line fit over `values` at abscissae `0..n`, as
+/// `(slope, intercept)`.
+fn fit_line(values: &VecDeque<f64>) -> (f64, f64) {
     let n = values.len() as f64;
     let mean_x = (n - 1.0) / 2.0;
     let mean_y: f64 = values.iter().sum::<f64>() / n;
@@ -162,7 +175,7 @@ fn extrapolate(values: &VecDeque<f64>, horizon: f64) -> f64 {
     }
     let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
     let intercept = mean_y - slope * mean_x;
-    slope * (n - 1.0 + horizon) + intercept
+    (slope, intercept)
 }
 
 #[cfg(test)]

@@ -5,6 +5,127 @@ use cvr_motion::pose::{angular_distance, wrap_degrees, Orientation, Pose, Vec3};
 use cvr_motion::predict::LinearPredictor;
 use cvr_motion::synthetic::{MotionConfig, MotionGenerator};
 use proptest::prelude::*;
+use std::collections::VecDeque;
+
+/// The predictor before it fitted once per observation: it kept only the
+/// history and re-ran the least-squares fit inside every prediction. Kept
+/// verbatim as the bit-identity oracle.
+struct RefitPerPredict {
+    window: usize,
+    history: [VecDeque<f64>; 6],
+    last_yaw: Option<f64>,
+    unwrapped_yaw: f64,
+}
+
+impl RefitPerPredict {
+    fn new(window: usize) -> Self {
+        RefitPerPredict {
+            window,
+            history: Default::default(),
+            last_yaw: None,
+            unwrapped_yaw: 0.0,
+        }
+    }
+
+    fn observe(&mut self, pose: &Pose) {
+        let mut c = pose.components();
+        let raw_yaw = c[3];
+        match self.last_yaw {
+            Some(last) => {
+                self.unwrapped_yaw += wrap_degrees(raw_yaw - last);
+            }
+            None => {
+                self.unwrapped_yaw = raw_yaw;
+            }
+        }
+        self.last_yaw = Some(raw_yaw);
+        c[3] = self.unwrapped_yaw;
+
+        for (axis, &value) in c.iter().enumerate() {
+            let h = &mut self.history[axis];
+            h.push_back(value);
+            if h.len() > self.window {
+                h.pop_front();
+            }
+        }
+    }
+
+    fn predict_fractional(&self, horizon: f64) -> Option<Pose> {
+        if !horizon.is_finite() {
+            return None;
+        }
+        let n = self.history[0].len();
+        if n < 2 {
+            return None;
+        }
+        let mut out = [0.0f64; 6];
+        for (axis, h) in self.history.iter().enumerate() {
+            out[axis] = extrapolate(h, horizon);
+        }
+        out[3] = wrap_degrees(out[3]);
+        out[4] = out[4].clamp(-90.0, 90.0);
+        out[5] = out[5].clamp(-90.0, 90.0);
+        Some(Pose::from_components(out))
+    }
+
+    fn reset(&mut self) {
+        for h in &mut self.history {
+            h.clear();
+        }
+        self.last_yaw = None;
+        self.unwrapped_yaw = 0.0;
+    }
+}
+
+fn extrapolate(values: &VecDeque<f64>, horizon: f64) -> f64 {
+    let n = values.len() as f64;
+    let mean_x = (n - 1.0) / 2.0;
+    let mean_y: f64 = values.iter().sum::<f64>() / n;
+    let mut sxy = 0.0;
+    let mut sxx = 0.0;
+    for (i, &y) in values.iter().enumerate() {
+        let dx = i as f64 - mean_x;
+        sxy += dx * (y - mean_y);
+        sxx += dx * dx;
+    }
+    let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
+    let intercept = mean_y - slope * mean_x;
+    slope * (n - 1.0 + horizon) + intercept
+}
+
+/// One step of a predictor workload: observe a pose, predict at a
+/// horizon, or reset.
+#[derive(Debug, Clone)]
+enum PredictorStep {
+    Observe([f64; 6]),
+    Predict(f64),
+    Reset,
+}
+
+fn arb_predictor_step() -> impl Strategy<Value = PredictorStep> {
+    const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let component = -400.0f64..400.0;
+    let components = (
+        component.clone(),
+        component.clone(),
+        component.clone(),
+        component.clone(),
+        component.clone(),
+        component,
+    );
+    (
+        0u8..17,
+        components,
+        -2.0f64..12.0,
+        0usize..NON_FINITE.len() * 6,
+    )
+        .prop_map(|(kind, c, horizon, special)| match kind {
+            0..=9 => PredictorStep::Observe([c.0, c.1, c.2, c.3, c.4, c.5]),
+            // One prediction in six asks for a non-finite horizon.
+            10..=15 => PredictorStep::Predict(NON_FINITE.get(special).copied().unwrap_or(horizon)),
+            _ => PredictorStep::Reset,
+        })
+}
 
 proptest! {
     #[test]
@@ -115,5 +236,35 @@ proptest! {
         // Linearity of the extrapolation: half-horizon is the midpoint.
         let mid = (zero.position.x + one.position.x) / 2.0;
         prop_assert!((half.position.x - mid).abs() < 1e-9);
+    }
+
+    // Fitting once per observation predicts bit-for-bit what refitting in
+    // every prediction did: windows 2–12, streams long enough to evict,
+    // resets mid-stream, and non-finite horizons (still `None`).
+    #[test]
+    fn fit_once_predictor_matches_refit_per_predict(
+        window in 2usize..=12,
+        steps in prop::collection::vec(arb_predictor_step(), 1..80),
+    ) {
+        let mut fit_once = LinearPredictor::new(window);
+        let mut oracle = RefitPerPredict::new(window);
+        for step in steps {
+            match step {
+                PredictorStep::Observe(c) => {
+                    let pose = Pose::from_components(c);
+                    fit_once.observe(&pose);
+                    oracle.observe(&pose);
+                }
+                PredictorStep::Predict(h) => {
+                    let got = fit_once.predict_fractional(h).map(|p| p.components().map(f64::to_bits));
+                    let want = oracle.predict_fractional(h).map(|p| p.components().map(f64::to_bits));
+                    prop_assert_eq!(got, want, "horizon {}", h);
+                }
+                PredictorStep::Reset => {
+                    fit_once.reset();
+                    oracle.reset();
+                }
+            }
+        }
     }
 }

@@ -181,6 +181,8 @@ fn main() {
         total.protocol_errors += report.counters.protocol_errors;
         total.frames_dropped += report.counters.frames_dropped;
         total.degraded_transitions += report.counters.degraded_transitions;
+        total.handshake_timeouts += report.counters.handshake_timeouts;
+        total.pending_refused += report.counters.pending_refused;
         total.max_outbound_queue_depth = total
             .max_outbound_queue_depth
             .max(report.counters.max_outbound_queue_depth);
@@ -218,7 +220,8 @@ fn main() {
     };
     println!(
         "slots={} on_time={:.3} worst_session_on_time={:.3} overruns={} joins={} leaves={} \
-         protocol_errors={} frames_dropped={} degraded={} max_queue={} accept_errors={}",
+         protocol_errors={} frames_dropped={} degraded={} max_queue={} accept_errors={} \
+         handshake_timeouts={} pending_refused={}",
         total.ticks,
         on_time,
         worst_on_time,
@@ -230,6 +233,8 @@ fn main() {
         total.degraded_transitions,
         total.max_outbound_queue_depth,
         accept_errors,
+        total.handshake_timeouts,
+        total.pending_refused,
     );
 
     if total.protocol_errors > 0 {

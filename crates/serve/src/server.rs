@@ -28,7 +28,7 @@ use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::plane::{RatePlane, SharedFovCache, DEFAULT_PLANE_CELLS};
-use cvr_content::tile::{tiles_for_pose_into, TileId};
+use cvr_content::tile::{TileId, TileSet};
 use cvr_core::delay::{DelayModel, Mm1Delay, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use cvr_core::engine::{SlotEngine, StageClock};
 use cvr_core::objective::QoeParams;
@@ -57,6 +57,14 @@ const PROPAGATION_S: f64 = 0.002;
 
 /// Most prediction records kept per user awaiting their scoring pose.
 const MAX_PENDING_PREDICTIONS: usize = 64;
+
+/// Slots a connection may spend in the handshake before it is closed
+/// (3 s at the paper's 15 ms slot). Only slots the session runs count.
+const HANDSHAKE_DEADLINE_SLOTS: u64 = 200;
+
+/// Most connections awaiting their `Hello` at once; further connections
+/// are refused. Four times the default `max_users`.
+const MAX_PENDING_CONNECTIONS: usize = 64;
 
 /// Configuration of a live session.
 #[derive(Debug, Clone)]
@@ -154,6 +162,8 @@ struct SessionObs {
     c_dropped: CounterId,
     c_degraded: CounterId,
     c_link_switches: CounterId,
+    c_handshake_timeouts: CounterId,
+    c_pending_refused: CounterId,
     g_clients: GaugeId,
     g_queue_depth: GaugeId,
     g_slot: GaugeId,
@@ -210,6 +220,16 @@ impl SessionObs {
             "",
             "Bonded-link failovers across all users",
         );
+        let c_handshake_timeouts = r.counter(
+            "cvr_handshake_timeouts_total",
+            "",
+            "Connections closed for not completing the handshake in time",
+        );
+        let c_pending_refused = r.counter(
+            "cvr_pending_refused_total",
+            "",
+            "Connections refused because the handshake queue was full",
+        );
         let g_clients = r.gauge("cvr_session_clients", "", "Users currently joined");
         let g_queue_depth = r.gauge(
             "cvr_outbound_queue_depth_max",
@@ -252,6 +272,8 @@ impl SessionObs {
             c_dropped,
             c_degraded,
             c_link_switches,
+            c_handshake_timeouts,
+            c_pending_refused,
             g_clients,
             g_queue_depth,
             g_slot,
@@ -288,9 +310,8 @@ struct FovPredictionRecord {
     target_seq: u64,
     /// Lookahead step, `1..horizon` slots past the display slot.
     h: usize,
-    /// Predicted visible tile set (first `len` entries valid).
-    tiles: [TileId; TileId::COUNT as usize],
-    len: u8,
+    /// Predicted visible tile set.
+    tiles: TileSet,
 }
 
 /// Per-user server-side state.
@@ -412,6 +433,11 @@ pub struct ServerCounters {
     pub link_switches: u64,
     /// Deepest outbound queue observed on any connection.
     pub max_outbound_queue_depth: usize,
+    /// Connections closed for not sending `Hello` within the handshake
+    /// deadline.
+    pub handshake_timeouts: u64,
+    /// Connections refused because the handshake queue was full.
+    pub pending_refused: u64,
 }
 
 /// What one departed (or still-connected, at report time) user looked
@@ -476,7 +502,8 @@ pub struct Session {
     library: ContentLibrary,
     engine: SlotEngine,
     users: Vec<Option<UserState>>,
-    pending: Vec<Box<dyn ServerTransport>>,
+    /// Connections awaiting their `Hello`, with the slot each arrived in.
+    pending: Vec<(Box<dyn ServerTransport>, u64)>,
     departed: Vec<UserServerSummary>,
     /// Next user ID to hand out; IDs are never reused even when registry
     /// slots are, so report summaries stay unambiguous across churn.
@@ -512,19 +539,28 @@ pub struct Session {
     /// engine then receives one row per *group*).
     mc_rates: Vec<f64>,
     mc_values: Vec<f64>,
-    /// Engine-row → member plan indices, caps, and group ids for the
-    /// multicast transmit fan-out.
-    staged_members: Vec<Vec<usize>>,
-    staged_caps: Vec<Vec<usize>>,
+    /// Multicast staging per engine row `r`, read by the transmit
+    /// fan-out: its member plan indices and caps are the
+    /// [`row_of`]`(…, staged_offsets, r)` slices of the flat
+    /// `staged_members`/`staged_caps`, its group id is `staged_gid[r]`.
+    staged_members: Vec<usize>,
+    staged_caps: Vec<usize>,
+    staged_offsets: Vec<usize>,
     staged_gid: Vec<u64>,
-    /// Per-plan-index prefetch manifest extensions staged this slot
-    /// (empty at `horizon = 1` or when the pass skipped every user).
-    plan_prefetch: Vec<Vec<VideoId>>,
+    /// Plan index → the group it leads (`usize::MAX` otherwise).
+    first_of: Vec<usize>,
+    /// Prefetch manifest extensions staged this slot: plan index `i`'s
+    /// ids are [`row_of`]`(plan_prefetch, plan_prefetch_offsets, i)`
+    /// (no offsets, hence no ids, at `horizon = 1`).
+    plan_prefetch: Vec<VideoId>,
+    plan_prefetch_offsets: Vec<usize>,
+    /// Per-plan-index assigned quality and ≥2-group membership, read by
+    /// the prefetch pass.
+    plan_quality: Vec<QualityLevel>,
+    plan_grouped: Vec<bool>,
     future_cells: Vec<CellId>,
-    future_poses: Vec<Pose>,
-    prefetch_tiles: Vec<TileId>,
+    future_tiles: Vec<TileSet>,
     prefetch_released: Vec<VideoId>,
-    fov_actual: Vec<TileId>,
     manifest: Vec<VideoId>,
     payload: Vec<u8>,
 }
@@ -565,13 +601,16 @@ impl Session {
             mc_values: Vec::new(),
             staged_members: Vec::new(),
             staged_caps: Vec::new(),
+            staged_offsets: Vec::new(),
             staged_gid: Vec::new(),
+            first_of: Vec::new(),
             plan_prefetch: Vec::new(),
+            plan_prefetch_offsets: Vec::new(),
+            plan_quality: Vec::new(),
+            plan_grouped: Vec::new(),
             future_cells: Vec::new(),
-            future_poses: Vec::new(),
-            prefetch_tiles: Vec::new(),
+            future_tiles: Vec::new(),
             prefetch_released: Vec::new(),
-            fov_actual: Vec::new(),
             manifest: Vec::new(),
             payload: Vec::new(),
         }
@@ -583,9 +622,19 @@ impl Session {
     }
 
     /// Registers a freshly accepted connection; the user joins once its
-    /// `Hello` arrives.
-    pub fn add_connection(&mut self, transport: Box<dyn ServerTransport>) {
-        self.pending.push(transport);
+    /// `Hello` arrives, and the connection is closed if that takes more
+    /// than `HANDSHAKE_DEADLINE_SLOTS` slots. While
+    /// `MAX_PENDING_CONNECTIONS` connections already await their `Hello`,
+    /// the new one is refused with a `Shutdown`.
+    pub fn add_connection(&mut self, mut transport: Box<dyn ServerTransport>) {
+        if self.pending.len() >= MAX_PENDING_CONNECTIONS {
+            self.counters.pending_refused += 1;
+            self.obs.registry.inc(self.obs.c_pending_refused, 1);
+            transport.send(&ServerMessage::Shutdown);
+            transport.close();
+            return;
+        }
+        self.pending.push((transport, self.slot));
     }
 
     /// Users currently joined.
@@ -741,7 +790,7 @@ impl Session {
                 self.obs.registry.inc(self.obs.c_leaves, 1);
             }
         }
-        for mut t in self.pending.drain(..) {
+        for (mut t, _) in self.pending.drain(..) {
             t.close();
         }
     }
@@ -780,14 +829,21 @@ impl Session {
     }
 
     /// Drains pending connections: a valid `Hello` joins the user, a
-    /// protocol violation refuses the connection.
+    /// protocol violation refuses the connection, and a connection still
+    /// silent at the handshake deadline is closed.
     fn admit_pending(&mut self) {
         let mut pending = std::mem::take(&mut self.pending);
-        pending.retain_mut(|transport| {
+        pending.retain_mut(|(transport, arrived)| {
             if transport.is_closed() {
                 return false;
             }
             match transport.try_recv() {
+                None if self.slot - *arrived >= HANDSHAKE_DEADLINE_SLOTS => {
+                    self.counters.handshake_timeouts += 1;
+                    self.obs.registry.inc(self.obs.c_handshake_timeouts, 1);
+                    transport.close();
+                    false
+                }
                 None => true,
                 Some(Ok(ClientMessage::Hello { version, seed })) => {
                     let speaks_supported =
@@ -897,18 +953,20 @@ impl Session {
                         // Score lookahead FoV predictions the same way:
                         // this pose (or an earlier, missed one) is the
                         // ground truth for every record it has caught up
-                        // with.
+                        // with. Its tile set is evaluated once, on the
+                        // first such record.
+                        let mut actual = None;
                         while user
                             .fov_predictions
                             .front()
                             .is_some_and(|p| p.target_seq <= seq)
                         {
                             let record = user.fov_predictions.pop_front().expect("checked front");
-                            tiles_for_pose_into(self.library.fov(), &pose, &mut self.fov_actual);
-                            let overlap = fov_tile_overlap(
-                                &record.tiles[..record.len as usize],
-                                &self.fov_actual,
-                            );
+                            let actual = actual.get_or_insert_with(|| {
+                                TileSet::for_pose(self.library.fov(), &pose)
+                            });
+                            let overlap =
+                                fov_tile_overlap(record.tiles.as_slice(), actual.as_slice());
                             self.obs
                                 .registry
                                 .observe(self.obs.h_overlap[record.h - 1], overlap as u64);
@@ -1088,12 +1146,7 @@ impl Session {
                 orientation.map(|orientation| GroupKey {
                     cell,
                     orientation,
-                    content: content_fingerprint(
-                        cell,
-                        tiles,
-                        user.undelivered.sums(),
-                        &user.ledger,
-                    ),
+                    content: content_fingerprint(&user.undelivered),
                 })
             } else {
                 None
@@ -1152,6 +1205,7 @@ impl Session {
         }
 
         self.plan_prefetch.clear();
+        self.plan_prefetch_offsets.clear();
         if self.lookahead.active() && !self.plan_ids.is_empty() {
             self.prefetch_pass();
         }
@@ -1179,53 +1233,55 @@ impl Session {
         // their prediction records but spend no credit. Also map each
         // plan index to its engine row's assigned quality: in multicast
         // mode staged rows are per *group*, not per plan index.
-        let mut grouped = vec![false; self.plan_ids.len()];
-        let mut row_quality = vec![QualityLevel::MIN; self.plan_ids.len()];
+        let n = self.plan_ids.len();
+        self.plan_grouped.clear();
+        self.plan_grouped.resize(n, false);
+        self.plan_quality.clear();
         if self.config.multicast {
-            for (r, members) in self.staged_members.iter().enumerate() {
+            self.plan_quality.resize(n, QualityLevel::MIN);
+            for r in 0..rows {
+                let members = row_of(&self.staged_members, &self.staged_offsets, r);
                 for &m in members {
-                    row_quality[m] = self.engine.assignment()[r];
-                    if members.len() >= 2 {
-                        grouped[m] = true;
-                    }
+                    self.plan_quality[m] = self.engine.assignment()[r];
+                    self.plan_grouped[m] = members.len() >= 2;
                 }
             }
         } else {
-            row_quality.copy_from_slice(self.engine.assignment());
+            self.plan_quality
+                .extend_from_slice(self.engine.assignment());
         }
-        for i in 0..self.plan_ids.len() {
+        self.plan_prefetch_offsets.push(0);
+        for i in 0..n {
             let id = self.plan_ids[i];
-            let mut ids: Vec<VideoId> = Vec::new();
             let Some(user) = &mut self.users[id] else {
-                self.plan_prefetch.push(ids);
+                self.plan_prefetch_offsets.push(self.plan_prefetch.len());
                 continue;
             };
             if user.has_pose && !user.degraded && !user.bw_degraded {
                 let current = user.undelivered.cell().expect("targeted during plan");
                 self.future_cells.clear();
-                self.future_poses.clear();
+                self.future_tiles.clear();
                 for h in 1..self.lookahead.horizon {
                     let horizon_slots = (PIPELINE_SLOTS + user.staleness_slots + h) as f64;
                     let Some(pose) = user.predictor.predict_fractional(horizon_slots) else {
                         continue;
                     };
-                    tiles_for_pose_into(self.library.fov(), &pose, &mut self.prefetch_tiles);
-                    let mut record = FovPredictionRecord {
+                    // One tile set per predicted pose: it is both the
+                    // overlap record and the future cell's prefetch set.
+                    let tiles = TileSet::for_pose(self.library.fov(), &pose);
+                    user.fov_predictions.push_back(FovPredictionRecord {
                         target_seq: user.last_pose_seq
                             + (user.staleness_slots + PIPELINE_SLOTS + h) as u64,
                         h,
-                        tiles: [TileId::new(0); TileId::COUNT as usize],
-                        len: self.prefetch_tiles.len() as u8,
-                    };
-                    record.tiles[..self.prefetch_tiles.len()].copy_from_slice(&self.prefetch_tiles);
-                    user.fov_predictions.push_back(record);
+                        tiles,
+                    });
                     if user.fov_predictions.len() > MAX_PENDING_PREDICTIONS {
                         user.fov_predictions.pop_front();
                     }
                     let cell = self.library.grid().cell_of(&pose.position);
                     if cell != current && !self.future_cells.contains(&cell) {
                         self.future_cells.push(cell);
-                        self.future_poses.push(pose);
+                        self.future_tiles.push(tiles);
                     }
                 }
                 self.prefetch_released.clear();
@@ -1243,28 +1299,22 @@ impl Session {
                 // while seeding a lower one would hand the allocator a
                 // cheap downgrade on arrival.
                 let pf_quality = QualityLevel::new(
-                    row_quality[i]
+                    self.plan_quality[i]
                         .get()
                         .max(self.lookahead.prefetch.quality.get()),
                 );
                 let row = pf_quality.index() * usize::from(TileId::COUNT);
                 let mut taken = 0usize;
                 'cells: for idx in 0..self.future_cells.len() {
-                    if grouped[i] {
+                    if self.plan_grouped[i] {
                         break 'cells;
                     }
                     let cell = self.future_cells[idx];
-                    tiles_for_pose_into(
-                        self.library.fov(),
-                        &self.future_poses[idx],
-                        &mut self.prefetch_tiles,
-                    );
                     let mut level_rates = [0.0f64; TileId::COUNT as usize];
                     level_rates.copy_from_slice(
                         &self.plane.rows(cell)[row..row + usize::from(TileId::COUNT)],
                     );
-                    for k in 0..self.prefetch_tiles.len() {
-                        let t = self.prefetch_tiles[k];
+                    for &t in self.future_tiles[idx].as_slice() {
                         if taken >= self.lookahead.prefetch.max_tiles_per_slot {
                             break 'cells;
                         }
@@ -1279,11 +1329,11 @@ impl Session {
                         credit -= cost;
                         taken += 1;
                         user.prefetcher.note(cell, vid);
-                        ids.push(vid);
+                        self.plan_prefetch.push(vid);
                     }
                 }
             }
-            self.plan_prefetch.push(ids);
+            self.plan_prefetch_offsets.push(self.plan_prefetch.len());
         }
     }
 
@@ -1296,6 +1346,8 @@ impl Session {
         let n = self.plan_ids.len();
         self.staged_members.clear();
         self.staged_caps.clear();
+        self.staged_offsets.clear();
+        self.staged_offsets.push(0);
         self.staged_gid.clear();
         self.groups.begin_slot(self.slot);
         for i in 0..n {
@@ -1306,36 +1358,40 @@ impl Session {
         self.groups.finish_slot();
         self.mcast_groups_last = self.groups.multicast_groups();
 
-        // Plan index → group index, populated for first members only.
-        let mut first_of = vec![usize::MAX; n];
+        self.first_of.clear();
+        self.first_of.resize(n, usize::MAX);
         for (g, group) in self.groups.groups().iter().enumerate() {
-            first_of[group.members[0]] = g;
+            self.first_of[group.members[0]] = g;
         }
-        for (i, &first_group) in first_of.iter().enumerate() {
+        // One row's member inputs, refilled per row.
+        let mut member_rows: Vec<GroupMember<'_>> = Vec::new();
+        for i in 0..n {
             let (members, gid) = if self.plan_keys[i].is_some() {
-                let g = first_group;
+                let g = self.first_of[i];
                 if g == usize::MAX {
                     // Staged already, with its group at the first member.
                     continue;
                 }
                 let group = &self.groups.groups()[g];
-                (group.members.clone(), group.id)
+                (group.members.as_slice(), group.id)
             } else {
-                (vec![i], u64::MAX)
+                (std::slice::from_ref(&i), u64::MAX)
             };
-            let member_rows: Vec<GroupMember<'_>> = members
-                .iter()
-                .map(|&m| GroupMember {
-                    values: &self.mc_values[m * levels..(m + 1) * levels],
-                    link_budget: self.plan_bn[m],
-                })
-                .collect();
+            member_rows.clear();
+            member_rows.extend(members.iter().map(|&m| GroupMember {
+                values: &self.mc_values[m * levels..(m + 1) * levels],
+                link_budget: self.plan_bn[m],
+            }));
             let first = members[0];
             let shared = &self.mc_rates[first * levels..(first + 1) * levels];
-            let mut caps = Vec::new();
-            stage_group(&mut self.engine, shared, &member_rows, &mut caps);
-            self.staged_members.push(members);
-            self.staged_caps.push(caps);
+            stage_group(
+                &mut self.engine,
+                shared,
+                &member_rows,
+                &mut self.staged_caps,
+            );
+            self.staged_members.extend_from_slice(members);
+            self.staged_offsets.push(self.staged_members.len());
             self.staged_gid.push(gid);
         }
     }
@@ -1435,22 +1491,18 @@ impl Session {
                 assigned
             };
             let rate = self.engine.rates(i)[quality.index()];
-            let cell = user.undelivered.cell().expect("targeted during plan");
 
             self.manifest.clear();
-            self.manifest.extend(
-                user.undelivered
-                    .tiles()
-                    .iter()
-                    .map(|&t| VideoId::new(cell, t, quality))
-                    .filter(|vid| !user.ledger.is_delivered(vid)),
-            );
+            self.manifest
+                .extend(user.undelivered.undelivered_ids(quality));
             // Prefetched future-cell tiles ride the same manifest; the
             // client ACKs them like any other tile, which is what charges
             // the ledger.
-            if let Some(prefetch) = self.plan_prefetch.get(i) {
-                self.manifest.extend(prefetch.iter().copied());
-            }
+            self.manifest.extend_from_slice(row_of(
+                &self.plan_prefetch,
+                &self.plan_prefetch_offsets,
+                i,
+            ));
 
             let status = user.transport.send(&ServerMessage::Assignment {
                 slot: self.slot,
@@ -1473,10 +1525,11 @@ impl Session {
     /// delivered quality and fans the identical bytes out to every member
     /// at that quality via [`ServerTransport::send_payload`].
     fn transmit_multicast(&mut self) {
-        for r in 0..self.staged_members.len() {
+        for r in 0..self.staged_gid.len() {
             let assigned = self.engine.assignment()[r];
-            if self.staged_members[r].len() == 1 {
-                let i = self.staged_members[r][0];
+            let (start, end) = (self.staged_offsets[r], self.staged_offsets[r + 1]);
+            if end - start == 1 {
+                let i = self.staged_members[start];
                 let id = self.plan_ids[i];
                 let Some(user) = &mut self.users[id] else {
                     continue;
@@ -1487,24 +1540,20 @@ impl Session {
                     assigned
                 };
                 let rate = self.engine.rates(r)[quality.index()];
-                let cell = user.undelivered.cell().expect("targeted during plan");
                 self.manifest.clear();
-                self.manifest.extend(
-                    user.undelivered
-                        .tiles()
-                        .iter()
-                        .map(|&t| VideoId::new(cell, t, quality))
-                        .filter(|vid| !user.ledger.is_delivered(vid)),
-                );
+                self.manifest
+                    .extend(user.undelivered.undelivered_ids(quality));
                 // Singleton rows keep full unicast parity: the prefetch
                 // extension rides here exactly as on the unicast path.
                 // Grouped rows skip it — a group's payload is shared
                 // bytes, while prefetch sets are per-user; the group-key
                 // fingerprint covers the ledger, so once prefetch ACKs
                 // diverge two users' state, they stop grouping anyway.
-                if let Some(prefetch) = self.plan_prefetch.get(i) {
-                    self.manifest.extend(prefetch.iter().copied());
-                }
+                self.manifest.extend_from_slice(row_of(
+                    &self.plan_prefetch,
+                    &self.plan_prefetch_offsets,
+                    i,
+                ));
                 let status = user.transport.send(&ServerMessage::Assignment {
                     slot: self.slot,
                     pose_seq: user.last_pose_seq,
@@ -1521,9 +1570,9 @@ impl Session {
                 // One encoded payload per distinct delivered quality this
                 // row; members sharing a quality receive the same bytes.
                 let mut encoded: Vec<(usize, Vec<u8>)> = Vec::new();
-                for k in 0..self.staged_members[r].len() {
-                    let i = self.staged_members[r][k];
-                    let cap = self.staged_caps[r][k];
+                for k in start..end {
+                    let i = self.staged_members[k];
+                    let cap = self.staged_caps[k];
                     let id = self.plan_ids[i];
                     let Some(user) = &mut self.users[id] else {
                         continue;
@@ -1536,21 +1585,13 @@ impl Session {
                             // Members share ledger state by group-key
                             // construction, so any member's manifest is
                             // the group's manifest at this quality.
-                            let cell = user.undelivered.cell().expect("targeted during plan");
-                            let manifest: Vec<VideoId> = user
-                                .undelivered
-                                .tiles()
-                                .iter()
-                                .map(|&t| VideoId::new(cell, t, quality))
-                                .filter(|vid| !user.ledger.is_delivered(vid))
-                                .collect();
                             self.payload.clear();
                             ServerMessage::GroupAssign {
                                 slot: self.slot,
                                 group_id: gid,
                                 quality: quality.get(),
                                 rate_mbps: self.engine.rates(r)[q_idx],
-                                manifest,
+                                manifest: user.undelivered.undelivered_ids(quality).collect(),
                             }
                             .encode(&mut self.payload);
                             encoded.push((q_idx, self.payload.clone()));
@@ -1565,6 +1606,15 @@ impl Session {
                 }
             }
         }
+    }
+}
+
+/// Row `i` of a flat table with offsets: entries `offsets[i]..offsets[i +
+/// 1]` of `flat`, or nothing when `offsets` holds no row `i`.
+fn row_of<'a, T>(flat: &'a [T], offsets: &[usize], i: usize) -> &'a [T] {
+    match (offsets.get(i), offsets.get(i + 1)) {
+        (Some(&start), Some(&end)) => &flat[start..end],
+        _ => &[],
     }
 }
 
@@ -1856,6 +1906,139 @@ mod tests {
         assert!(text.contains("cvr_lookahead_fov_overlap"));
         assert!(text.contains("h=\"1\""));
         assert!(text.contains("h=\"2\""));
+    }
+
+    #[test]
+    fn silent_connection_is_closed_at_the_handshake_deadline() {
+        let mut session = Session::new(ServeConfig::default());
+        let (server_end, mut silent) = loopback(8);
+        session.add_connection(Box::new(server_end));
+        for _ in 0..HANDSHAKE_DEADLINE_SLOTS {
+            session.step_slot();
+        }
+        assert!(!silent.is_closed(), "closed before the deadline");
+        assert_eq!(session.pending.len(), 1);
+        session.step_slot();
+        assert!(silent.is_closed(), "still open past the deadline");
+        assert!(session.pending.is_empty());
+        assert_eq!(session.counters().handshake_timeouts, 1);
+        assert!(
+            silent.try_recv().is_none(),
+            "a timed-out peer gets no frames"
+        );
+        assert!(session
+            .render_metrics()
+            .contains("cvr_handshake_timeouts_total 1"));
+    }
+
+    #[test]
+    fn connections_beyond_the_pending_cap_are_refused() {
+        let mut session = Session::new(ServeConfig::default());
+        let mut ends: Vec<_> = (0..MAX_PENDING_CONNECTIONS + 2)
+            .map(|_| {
+                let (server_end, client_end) = loopback(8);
+                session.add_connection(Box::new(server_end));
+                client_end
+            })
+            .collect();
+        assert_eq!(session.pending.len(), MAX_PENDING_CONNECTIONS);
+        assert_eq!(session.counters().pending_refused, 2);
+        for refused in &mut ends[MAX_PENDING_CONNECTIONS..] {
+            assert!(refused.is_closed());
+            assert!(matches!(
+                refused.try_recv(),
+                Some(Ok(ServerMessage::Shutdown))
+            ));
+        }
+        assert!(ends[..MAX_PENDING_CONNECTIONS]
+            .iter()
+            .all(|e| !e.is_closed()));
+        assert!(session
+            .render_metrics()
+            .contains("cvr_pending_refused_total 2"));
+    }
+
+    /// An honest client's report minus its wall-clock RTT histogram:
+    /// `(user_id, seed, assignments, summary)`.
+    type HonestClient = (u32, u64, u64, cvr_core::qoe::UserQoeSummary);
+
+    /// Three honest replay clients, with `attack` called before every
+    /// slot to add hostile connections; returns the honest side's
+    /// server and client summaries plus the final counters.
+    fn honest_run(
+        attack: impl Fn(&mut Session, u64, &mut Vec<crate::transport::LoopbackClientEnd>),
+    ) -> (Vec<UserServerSummary>, Vec<HonestClient>, ServerCounters) {
+        use crate::client::ClientConfig;
+        use crate::harness::loopback_fleet;
+
+        let configs: Vec<ClientConfig> = (0..3)
+            .map(|u| ClientConfig {
+                seed: 0xA77AC + u,
+                ..ClientConfig::default()
+            })
+            .collect();
+        let (mut session, mut clients) = loopback_fleet(ServeConfig::default(), &configs);
+        let mut attackers = Vec::new();
+        for slot in 0..HANDSHAKE_DEADLINE_SLOTS + 40 {
+            attack(&mut session, slot, &mut attackers);
+            for client in &mut clients {
+                client.step_slot();
+            }
+            session.step_slot();
+            session.note_tick(true, 0);
+        }
+        assert!(
+            attackers.iter().all(|a| a.is_closed()),
+            "an attacker outlived the deadline"
+        );
+        assert!(session.pending.is_empty());
+        session.shutdown();
+        let clients = clients
+            .into_iter()
+            .map(|c| {
+                let r = c.finish();
+                (r.user_id, r.seed, r.assignments, r.summary)
+            })
+            .collect();
+        let report = session.report();
+        (report.users, clients, report.counters)
+    }
+
+    #[test]
+    fn silent_and_excess_connections_leave_honest_clients_bit_identical() {
+        let (users, clients, counters) = honest_run(|_, _, _| {});
+        assert_eq!(counters.handshake_timeouts + counters.pending_refused, 0);
+
+        // Silent peers connecting mid-run time out; honest reports do
+        // not move.
+        let silent = |session: &mut Session, slot: u64, attackers: &mut Vec<_>| {
+            if slot == 5 {
+                for _ in 0..4 {
+                    let (server_end, client_end) = loopback(8);
+                    session.add_connection(Box::new(server_end));
+                    attackers.push(client_end);
+                }
+            }
+        };
+        let (u, c, counters) = honest_run(silent);
+        assert_eq!(counters.handshake_timeouts, 4);
+        assert_eq!((u, c), (users.clone(), clients.clone()));
+
+        // A flood past the pending cap: the excess is refused at once,
+        // the rest time out; honest reports still do not move.
+        let flood = |session: &mut Session, slot: u64, attackers: &mut Vec<_>| {
+            if slot == 7 {
+                for _ in 0..MAX_PENDING_CONNECTIONS + 3 {
+                    let (server_end, client_end) = loopback(8);
+                    session.add_connection(Box::new(server_end));
+                    attackers.push(client_end);
+                }
+            }
+        };
+        let (u, c, counters) = honest_run(flood);
+        assert_eq!(counters.pending_refused, 3);
+        assert_eq!(counters.handshake_timeouts, MAX_PENDING_CONNECTIONS as u64);
+        assert_eq!((u, c), (users, clients));
     }
 
     #[test]

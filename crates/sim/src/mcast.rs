@@ -193,12 +193,7 @@ pub fn run(config: &McastConfig) -> McastRunResult {
             key_of[u] = shared_fov.key_for(&pose).map(|orientation| GroupKey {
                 cell,
                 orientation,
-                content: content_fingerprint(
-                    cell,
-                    &tiles_of[u],
-                    undelivered[u].sums(),
-                    &ledgers[u],
-                ),
+                content: content_fingerprint(&undelivered[u]),
             });
             let row = u * levels..(u + 1) * levels;
             let rates = &mut rates_table[row.clone()];

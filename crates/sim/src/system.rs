@@ -22,7 +22,7 @@ use cvr_content::grid::CellId;
 use cvr_content::id::VideoId;
 use cvr_content::library::ContentLibrary;
 use cvr_content::plane::{FovRequestCache, RatePlane, DEFAULT_PLANE_CELLS};
-use cvr_content::tile::{tiles_for_pose_into, TileId};
+use cvr_content::tile::{TileId, TileSet};
 use cvr_core::alloc::Allocator;
 use cvr_core::delay::{DelayModel, Mm1Delay, DELAY_CAP_SLOTS, PIPELINE_SLOTS};
 use cvr_core::engine::SlotEngine;
@@ -445,8 +445,7 @@ pub fn run_instrumented(
         .collect();
     let mut prefetchers: Vec<Prefetcher> = (0..n).map(|_| Prefetcher::new()).collect();
     let mut future_cells: Vec<CellId> = Vec::new();
-    let mut future_poses: Vec<Pose> = Vec::new();
-    let mut prefetch_tiles: Vec<TileId> = Vec::new();
+    let mut future_tiles: Vec<TileSet> = Vec::new();
     let mut prefetch_released: Vec<VideoId> = Vec::new();
 
     // Server-side tile cache (shared across users, as in the real server).
@@ -874,7 +873,7 @@ pub fn run_instrumented(
             for u in 0..n {
                 let current = undelivered[u].cell().expect("targeted during build");
                 future_cells.clear();
-                future_poses.clear();
+                future_tiles.clear();
                 for h in 1..lookahead.horizon {
                     let horizon_slots = (PIPELINE_SLOTS + pose_staleness[u] + h) as f64;
                     let Some(pose) =
@@ -885,7 +884,7 @@ pub fn run_instrumented(
                     let cell = library.grid().cell_of(&pose.position);
                     if cell != current && !future_cells.contains(&cell) {
                         future_cells.push(cell);
-                        future_poses.push(pose);
+                        future_tiles.push(TileSet::for_pose(library.fov(), &pose));
                     }
                 }
                 prefetch_released.clear();
@@ -903,12 +902,11 @@ pub fn run_instrumented(
                     QualityLevel::new(assignment[u].get().max(lookahead.prefetch.quality.get()));
                 let row = pf_quality.index() * usize::from(TileId::COUNT);
                 let mut taken = 0usize;
-                'cells: for (idx, &cell) in future_cells.iter().enumerate() {
-                    tiles_for_pose_into(library.fov(), &future_poses[idx], &mut prefetch_tiles);
+                'cells: for (&cell, tiles) in future_cells.iter().zip(&future_tiles) {
                     let mut level_rates = [0.0f64; TileId::COUNT as usize];
                     level_rates
                         .copy_from_slice(&plane.rows(cell)[row..row + usize::from(TileId::COUNT)]);
-                    for &t in &prefetch_tiles {
+                    for &t in tiles.as_slice() {
                         if taken >= lookahead.prefetch.max_tiles_per_slot {
                             break 'cells;
                         }
